@@ -49,22 +49,13 @@ double total_length(const std::vector<Interval>& m) {
   return t;
 }
 
-double intersection_length(const std::vector<Interval>& a,
-                           const std::vector<Interval>& b) {
-  double t = 0.0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].begin, b[j].begin);
-    const double hi = std::min(a[i].end, b[j].end);
-    if (hi > lo) t += hi - lo;
-    if (a[i].end < b[j].end) {
-      ++i;
-    } else {
-      ++j;
-    }
+std::vector<sh::obs::Span> spans_within(const std::vector<sh::obs::Span>& spans,
+                                        double lo, double hi) {
+  std::vector<sh::obs::Span> out;
+  for (const auto& s : spans) {
+    if (s.start_s >= lo && s.start_s < hi) out.push_back(s);
   }
-  return t;
+  return out;
 }
 
 std::vector<Interval> spans_of(const std::vector<sh::obs::Span>& spans,

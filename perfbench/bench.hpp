@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mem/device_arena.hpp"
+#include "obs/export.hpp"
 #include "obs/obs.hpp"
 
 namespace perfbench {
@@ -52,9 +53,10 @@ struct Interval {
 /// Merges overlapping intervals after clipping them to [lo, hi].
 std::vector<Interval> merged(std::vector<Interval> v, double lo, double hi);
 double total_length(const std::vector<Interval>& merged_intervals);
-/// Length of the intersection of two merged interval lists.
-double intersection_length(const std::vector<Interval>& a,
-                           const std::vector<Interval>& b);
+
+/// The spans that start inside [lo, hi], for obs::to_sim_trace.
+std::vector<sh::obs::Span> spans_within(const std::vector<sh::obs::Span>& spans,
+                                        double lo, double hi);
 
 /// Spans of one track (optionally one label), as absolute wall_seconds().
 std::vector<Interval> spans_of(const std::vector<sh::obs::Span>& spans,

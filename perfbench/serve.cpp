@@ -261,7 +261,6 @@ Result run_serve_open(const Options& opt) {
   // A request belongs to the phase its due time falls in; so does a step.
   const double lo = opt.trace ? split : start;
   const auto in_phase = [&](double t) { return t >= lo; };
-  const auto in_plain = [&](double t) { return t < split; };
 
   Samples latency_ms;
   Samples all_latency_ms;  // both halves of a traced run
@@ -273,12 +272,10 @@ Result run_serve_open(const Options& opt) {
   std::size_t prefix_reqs = 0;
   std::size_t prompt_tokens = 0;
   std::size_t generated = 0;
-  std::size_t plain_generated = 0;
   for (const Req& r : reqs) {
     const auto& item = wl.items[r.item];
     res.op(!r.rejected && r.done);
     if (r.done) all_latency_ms.add((r.finish - r.due) * 1e3);
-    if (in_plain(r.due) && r.done) plain_generated += r.generated;
     if (!in_phase(r.due)) continue;
     ++offered;
     late_ms.add((r.submit - r.due) * 1e3);
@@ -293,11 +290,17 @@ Result run_serve_open(const Options& opt) {
   }
   Samples step_ms;
   double step_s = 0.0;
-  double plain_step_s = 0.0;
+  // Steps are link-bound, so their time barely depends on how many
+  // sequences they carry, and the two halves' median step times compare
+  // tracing cost rather than the halves' different load. The drain, where
+  // occupancy falls towards 0, is left out of both.
+  Samples plain_step_ms;
+  Samples traced_step_ms;
   for (const StepRec& st : steps) {
-    if (in_plain(st.t0)) plain_step_s += st.t1 - st.t0;
+    const double ms = (st.t1 - st.t0) * 1e3;
+    if (st.t0 < end) (st.t0 < split ? plain_step_ms : traced_step_ms).add(ms);
     if (!in_phase(st.t0)) continue;
-    step_ms.add((st.t1 - st.t0) * 1e3);
+    step_ms.add(ms);
     step_s += st.t1 - st.t0;
   }
   const double tokens_per_s = share(static_cast<double>(generated), step_s);
@@ -318,7 +321,8 @@ Result run_serve_open(const Options& opt) {
     const double nsteps = static_cast<double>(b.exec.steps - a.exec.steps);
     const auto per_step = [&](double v) { return share(v, nsteps); };
     const auto compute = merged(spans_of(spans, "serve"), split, drained);
-    const auto h2d = merged(spans_of(spans, "h2d"), split, drained);
+    const auto timed =
+        sh::obs::to_sim_trace(spans_within(spans, split, drained));
 
     res.metric("core.window_layers", static_cast<double>(engine.window()));
     res.metric("core.gpu_busy_share", share(total_length(compute), wall));
@@ -328,8 +332,7 @@ Result run_serve_open(const Options& opt) {
                per_step(static_cast<double>(b.h2d_bytes - a.h2d_bytes)));
     res.metric("hw.h2d_busy_s_per_step",
                per_step(busy_seconds(spans, "h2d", split, drained)));
-    res.metric("hw.h2d_overlap_share",
-               share(intersection_length(h2d, compute), total_length(h2d)));
+    res.metric("hw.h2d_overlap_share", timed.overlap_fraction("h2d", "serve"));
     arena_peaks(res, engine.stats().arena);
     res.metric("mem.pressure_events",
                static_cast<double>(b.pressure_events - a.pressure_events));
@@ -351,10 +354,9 @@ Result run_serve_open(const Options& opt) {
                static_cast<double>(sched.arena_stats().peak_bytes) / kMB);
     res.metric("serve.gen_late_ms_p99", late_ms.percentile(0.99));
     res.metric("serve.goodput", share(met, offered));
-    const double plain_tps =
-        share(static_cast<double>(plain_generated), plain_step_s);
     res.metric("obs.overhead_share",
-               share(plain_tps - tokens_per_s, plain_tps));
+               share(traced_step_ms.median() - plain_step_ms.median(),
+                     traced_step_ms.median()));
     res.info.emplace_back("traced_requests", latency_ms.count());
     res.info.emplace_back("requests", all_latency_ms.count());
   }

