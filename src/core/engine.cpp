@@ -9,10 +9,8 @@
 #include <thread>
 #include <unordered_map>
 
-#include "core/checkpoint.hpp"
 #include "nn/block.hpp"
 #include "obs/obs.hpp"
-#include "tensor/half.hpp"
 #include "tensor/rng.hpp"
 
 #include "dist/process_group.hpp"
@@ -98,10 +96,10 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
   if (const char* env = std::getenv("SH_WINDOW_ROUNDING")) {
     cfg_.window_rounding = tensor::parse_rounding(env);
   }
-  if (cfg_.fp16 && bf16_window()) {
+  if (f16_window() && cfg_.window_rounding == tensor::Rounding::stochastic) {
     throw std::invalid_argument(
-        "EngineConfig: fp16 and window_dtype=bf16 are mutually exclusive "
-        "(both re-encode the CPU<->GPU wire)");
+        "EngineConfig: stochastic window_rounding needs window_dtype=bf16 "
+        "(f16 has only a round-to-nearest-even codec)");
   }
   elem_bytes_ = tensor::bytes_per_element(cfg_.window_dtype);
   setup_pinned_layers();
@@ -112,15 +110,24 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
     max_block_params = std::max(max_block_params, store_.state(b).params);
   }
   max_block_params_ = static_cast<std::size_t>(max_block_params);
-  // BF16 windows compute in FP32 on a decoded staging view (per-layer
+  // Encoded windows compute in FP32 on a decoded staging view (per-layer
   // compute is barrier-serialised, so one params+grads buffer suffices).
-  if (bf16_window()) stage_.assign(2 * max_block_params_, 0.0f);
+  if (encoded_window()) stage_.assign(2 * max_block_params_, 0.0f);
   const std::size_t slot_elems = 2 * max_block_params_;
-  // Slots are priced in bytes under the window dtype: bf16 halves
+  // Slots are priced in bytes under the window dtype: bf16/f16 halve
   // slot_bytes, so `fit` (and with it the auto window) roughly doubles at a
   // fixed device budget.
   const std::size_t slot_bytes = slot_elems * elem_bytes_;
-  const std::size_t fit = gpu_pool_.free_bytes() / slot_bytes;
+  // ByteBudget mode holds the window in one fixed buffer, so an explicit
+  // budget (window_budget_floats, priced into bytes under the window dtype)
+  // bounds the warm-up window, not the device: sized from free device bytes
+  // the window could cover every block, FP would never evict, and the first
+  // acquire past the budget would block forever.
+  const bool budgeted = cfg_.window_mode == WindowMode::ByteBudget;
+  window_budget_bytes_ = budgeted ? cfg_.window_budget_floats * elem_bytes_ : 0;
+  const std::size_t avail = window_budget_bytes_ != 0 ? window_budget_bytes_
+                                                      : gpu_pool_.free_bytes();
+  const std::size_t fit = avail / slot_bytes;
 
   if (cfg_.window != 0) {
     window_ = std::min<std::size_t>(cfg_.window, blocks);
@@ -128,7 +135,7 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
   } else {
     // Warm-up window: the largest that provably fits, per Section III-B.
     if (fit < 2 && blocks > 1) {
-      throw mem::OomError("gpu", 2 * slot_bytes, gpu_pool_.free_bytes());
+      throw mem::OomError("gpu", 2 * slot_bytes, avail);
     }
     window_ = std::min<std::size_t>(blocks, fit > 0 ? fit - 1 : 0);
     window_ = std::max<std::size_t>(window_, 1);
@@ -148,16 +155,14 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
   slot_bytes_ = slot_bytes;
   slots_reserved_ = slots;
   // Throws mem::OomError when the requested window cannot be reserved.
-  if (cfg_.window_mode == WindowMode::UniformSlots) {
+  if (!budgeted) {
     pool_ = std::make_unique<UniformSlotAllocator>(gpu_pool_, slot_bytes,
                                                    slots);
   } else {
-    // window_budget_floats is specified in elements; price it into bytes
-    // under the window dtype.
-    const std::size_t budget = cfg_.window_budget_floats != 0
-                                   ? cfg_.window_budget_floats * elem_bytes_
-                                   : slots * slot_bytes;
-    pool_ = std::make_unique<BudgetSlotAllocator>(gpu_pool_, budget);
+    // No explicit budget: derive it from the uniform-slot requirement.
+    if (window_budget_bytes_ == 0) window_budget_bytes_ = slots * slot_bytes;
+    pool_ = std::make_unique<BudgetSlotAllocator>(gpu_pool_,
+                                                  window_budget_bytes_);
   }
 
   profiles_.assign(blocks, LayerProfile{});
@@ -191,16 +196,6 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
     }
   }
 
-  trace_epoch_ = now_seconds();
-  if (cfg_.record_trace) {
-    // Writes the sim trace directly (not through trace_span): the pool
-    // already records its own "cpu-opt" obs spans, and routing the observer
-    // through trace_span would duplicate them on the global recorder.
-    opts_.set_update_observer([this](double t0, double t1) {
-      std::lock_guard<std::mutex> lock(trace_mu_);
-      trace_.record("cpu-opt", "o", {t0 - trace_epoch_, t1 - trace_epoch_});
-    });
-  }
   obs_provider_id_ = obs::Registry::global().add_provider(
       [this](obs::MetricsSnapshot& out) { export_metrics(out); });
 
@@ -212,19 +207,6 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
   if (!cfg_.ckpt.dir.empty()) {
     ckpt_ = std::make_unique<ckpt::Checkpointer>(cfg_.ckpt);
   }
-}
-
-void StrongholdEngine::trace_span(const char* resource, const char* label,
-                                  double t0, double t1) {
-  obs::span(resource, label, t0, t1);
-  if (!cfg_.record_trace) return;
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  trace_.record(resource, label, {t0 - trace_epoch_, t1 - trace_epoch_});
-}
-
-sim::Trace StrongholdEngine::trace_snapshot() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return trace_;
 }
 
 StrongholdEngine::~StrongholdEngine() {
@@ -248,7 +230,7 @@ void StrongholdEngine::setup_pinned_layers() {
   LayerState& emb = store_.state(0);
   LayerState& head = store_.state(head_index());
   // Pinned layers always hold f32 elements — they never cross the wire per
-  // step, so a bf16 encoding would cost precision without saving traffic.
+  // step, so an encoded copy would cost precision without saving traffic.
   pinned_emb_ = gpu_pool_.allocate_floats(
       2 * static_cast<std::size_t>(emb.params), mem::DeviceArena::kWindow);
   pinned_head_ = gpu_pool_.allocate_floats(
@@ -267,12 +249,13 @@ void StrongholdEngine::init_params(std::uint64_t seed) {
   std::memcpy(pinned_head_, head.cpu_params.data(),
               sizeof(float) * static_cast<std::size_t>(head.params));
   std::fill_n(pinned_head_ + head.params, head.params, 0.0f);
-  if (cfg_.fp16) {
-    // Device-resident parameters are FP16; masters stay FP32.
-    tensor::quantize_fp16_inplace(pinned_emb_,
-                                  static_cast<std::size_t>(emb.params));
-    tensor::quantize_fp16_inplace(pinned_head_,
-                                  static_cast<std::size_t>(head.params));
+  if (f16_window()) {
+    // Mixed precision computes the pinned layers on f16-rounded copies too;
+    // masters stay FP32.
+    tensor::quantize_f16_inplace(pinned_emb_,
+                                 static_cast<std::size_t>(emb.params));
+    tensor::quantize_f16_inplace(pinned_head_,
+                                 static_cast<std::size_t>(head.params));
   }
 }
 
@@ -315,7 +298,7 @@ void StrongholdEngine::prefetch(std::size_t index) {
     }
     if (slot == nullptr) {
       const double t = now_seconds();
-      trace_span("mem", "defer", t, t);
+      obs::span("mem", "defer", t, t);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.deferred_prefetches;
       return;
@@ -345,33 +328,22 @@ void StrongholdEngine::issue_fetch(LayerState& st, std::byte* slot) {
     // copying a stale master onto the device.
     store_.fault_in(st.index).get();
     const double t0 = now_seconds();
-    if (bf16_window()) {
-      // The wire format is BF16: the FP32 master lands encoded, at half
-      // the bytes; the slot genuinely stores 2-byte elements.
-      auto* dst = reinterpret_cast<tensor::bf16*>(slot);
-      if (cfg_.window_rounding == tensor::Rounding::stochastic) {
-        tensor::Rng rng(
-            tensor::mix_seed(cfg_.rounding_seed, st.index, rng_seq));
-        tensor::convert_float_to_bf16_stochastic(st.cpu_params.data(), dst,
-                                                 params, rng);
-      } else {
-        tensor::convert_float_to_bf16(st.cpu_params.data(), dst, params);
-      }
-      std::fill_n(dst + params, params, tensor::bf16{0});  // fresh grads
+    // The wire format is the window dtype: the FP32 master lands encoded
+    // (a plain copy for f32), and the slot stores elements of that width.
+    tensor::StorageView view(slot, cfg_.window_dtype, 2 * params);
+    if (cfg_.window_rounding == tensor::Rounding::stochastic) {
+      tensor::Rng rng(tensor::mix_seed(cfg_.rounding_seed, st.index, rng_seq));
+      view.encode(st.cpu_params.data(), params, tensor::Rounding::stochastic,
+                  rng);
     } else {
-      auto* dst = reinterpret_cast<float*>(slot);
-      std::memcpy(dst, st.cpu_params.data(), params * sizeof(float));
-      std::fill_n(dst + params, params, 0.0f);  // fresh gradient buffer
-      if (cfg_.fp16) {
-        // The wire format is FP16: the copy lands rounded, at half the
-        // bytes (storage stays f32; only bf16 re-types the slot).
-        tensor::quantize_fp16_inplace(dst, params);
-      }
+      view.encode(st.cpu_params.data(), params);
     }
+    // Fresh gradient half: all-zero bits are +0 in every encoding.
+    std::memset(view.subview(params, params).bytes(), 0, params * elem_bytes_);
     const std::size_t wire = wire_param_bytes(st.params);
     throttle_sleep(static_cast<double>(wire), rate);
     if (prof != nullptr) prof->t_c2g = now_seconds() - t0;
-    trace_span("h2d", "p", t0, now_seconds());
+    obs::span("h2d", "p", t0, now_seconds());
     h2d_.record_transfer(wire);  // true wire bytes on the link's own stats
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.h2d_transfers;
@@ -409,41 +381,41 @@ void StrongholdEngine::wait_ready(LayerState& st) {
 }
 
 float* StrongholdEngine::bind_params_f32(LayerState& st) {
-  // Pinned layers and FP32/FP16 windows store f32 elements in place; a BF16
+  // Pinned layers and f32 windows store f32 elements in place; an encoded
   // window decodes into the staging buffer (barrier-serialized per layer, so
   // one buffer suffices — the stage models the f32 compute view and is not
-  // charged to the window region, mirroring FP16's in-place rounding).
-  if (!bf16_window() || st.pinned_on_gpu) return slot_f32(st);
-  tensor::convert_bf16_to_float(slot_b16(st), stage_.data(),
-                                static_cast<std::size_t>(st.params));
+  // charged to the window region).
+  if (!encoded_window() || st.pinned_on_gpu) return slot_f32(st);
+  slot_view(st).decode(stage_.data(), static_cast<std::size_t>(st.params));
   return stage_.data();
 }
 
 void StrongholdEngine::encode_slot(LayerState& st, const float* src,
                                    std::size_t offset, std::size_t n) {
-  tensor::bf16* dst = slot_b16(st) + offset;
+  tensor::StorageView view = slot_view(st);
   if (cfg_.window_rounding == tensor::Rounding::stochastic) {
     // One fresh, deterministic stream per encode event: encodes of the same
     // layer are serialized (fetch by ready-future, grad encode by barriers,
     // update encode after the grad encode), so the counter orders them.
     tensor::Rng rng(tensor::mix_seed(cfg_.rounding_seed, st.index,
                                      st.rng_seq++));
-    tensor::convert_float_to_bf16_stochastic(src, dst, n, rng);
+    view.encode(src, n, tensor::Rounding::stochastic, rng, offset);
   } else {
-    tensor::convert_float_to_bf16(src, dst, n);
+    view.encode(src, n, offset);
   }
 }
 
 void StrongholdEngine::refresh_device_copy(LayerState& st) {
   const auto params = static_cast<std::size_t>(st.params);
-  if (!st.pinned_on_gpu && bf16_window()) {
+  if (!st.pinned_on_gpu && encoded_window()) {
     encode_slot(st, st.cpu_params.data(), 0, params);
-    std::fill_n(slot_b16(st) + params, params, tensor::bf16{0});
+    std::memset(slot_view(st).subview(params, params).bytes(), 0,
+                params * elem_bytes_);
     return;
   }
   float* buf = slot_f32(st);
   std::memcpy(buf, st.cpu_params.data(), params * sizeof(float));
-  if (cfg_.fp16) tensor::quantize_fp16_inplace(buf, params);
+  if (f16_window()) tensor::quantize_f16_inplace(buf, params);
   std::fill_n(buf + params, params, 0.0f);
 }
 
@@ -542,25 +514,22 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
   auto copied = d2h_.run_async([this, &st, slot, params, rate, prof, clip,
                                 overwrite] {
     const double t0 = now_seconds();
-    if (bf16_window()) {
-      // BF16 wire format: the gradient half of the slot already holds the
+    if (encoded_window()) {
+      // Encoded wire format: the gradient half of the slot already holds the
       // rounded encoding (the executor encoded the reduced FP32 gradients);
       // decode it back into the FP32 CPU accumulator.
-      const tensor::bf16* g = reinterpret_cast<tensor::bf16*>(slot) + params;
+      const tensor::StorageView g =
+          tensor::StorageView(slot, cfg_.window_dtype, 2 * params)
+              .subview(params, params);
       if (overwrite) {
-        tensor::convert_bf16_to_float(g, st.cpu_grads.data(), params);
+        g.decode(st.cpu_grads.data(), params);
       } else {
         std::vector<float> tmp(params);
-        tensor::convert_bf16_to_float(g, tmp.data(), params);
+        g.decode(tmp.data(), params);
         tensor::axpy(1.0f, tmp.data(), st.cpu_grads.data(), st.params);
       }
     } else {
       float* g = reinterpret_cast<float*>(slot) + params;
-      // FP16 wire format: the gradients cross the link rounded to half
-      // precision; overflow (inf after rounding) triggers a skipped step.
-      if (cfg_.fp16) {
-        quantize_grads_and_check(g, st.params);
-      }
       // First micro-step overwrites the CPU-side gradient accumulator;
       // later ones accumulate (gradient accumulation cycles).
       if (overwrite) {
@@ -572,7 +541,7 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
     const std::size_t wire = wire_param_bytes(st.params);
     throttle_sleep(static_cast<double>(wire), rate);
     if (prof != nullptr) prof->t_g2c = now_seconds() - t0;
-    trace_span("d2h", "g", t0, now_seconds());
+    obs::span("d2h", "g", t0, now_seconds());
     if (clip) {
       grad_sumsq_[st.index] =
           tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
@@ -602,14 +571,8 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
   }
 }
 
-void StrongholdEngine::quantize_grads_and_check(float* grads, std::int64_t n) {
-  tensor::quantize_fp16_inplace(grads, static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(grads[i])) {
-      overflow_.store(true, std::memory_order_relaxed);
-      return;
-    }
-  }
+void StrongholdEngine::check_overflow(const tensor::StorageView& grads) {
+  if (grads.has_non_finite()) overflow_.store(true, std::memory_order_relaxed);
 }
 
 void StrongholdEngine::update_resident_layer(LayerState& st) {
@@ -618,42 +581,29 @@ void StrongholdEngine::update_resident_layer(LayerState& st) {
   // CPU master; on the final micro-step the GPU-resident parameter copy is
   // updated in place and the master synced asynchronously.
   const auto params = static_cast<std::size_t>(st.params);
-  if (bf16_window()) {
-    // The executor encoded the reduced FP32 gradients into the slot's BF16
-    // grad half; decode into the staging buffer, then accumulate in FP32.
-    float* g = stage_.data() + max_block_params_;
-    tensor::convert_bf16_to_float(slot_b16(st) + params, g, params);
-    if (accum_first_) {
-      std::copy_n(g, params, st.cpu_grads.data());
-    } else {
-      tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
-    }
+  const float* g;
+  if (encoded_window()) {
+    // The executor encoded the reduced FP32 gradients into the slot's grad
+    // half; decode into the staging buffer, then accumulate in FP32.
+    float* staged = stage_.data() + max_block_params_;
+    slot_view(st).decode(staged, params, params);
+    g = staged;
   } else {
-    float* g = slot_f32(st) + params;
-    if (cfg_.fp16) quantize_grads_and_check(g, st.params);
-    if (accum_first_) {
-      std::copy_n(g, params, st.cpu_grads.data());
-    } else {
-      tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
-    }
+    g = slot_f32(st) + params;
+  }
+  if (accum_first_) {
+    std::copy_n(g, params, st.cpu_grads.data());
+  } else {
+    tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
   }
   if (!accum_final_) return;
   auto body = [this, &st, params] {
-    if (bf16_window()) {
-      // The FP32 master is authoritative; the GPU copy is re-quantized on
+    if (encoded_window()) {
+      // The FP32 master is authoritative; the GPU copy is re-encoded on
       // write-back, exactly like a fresh fault-in.
       opts_.update_now(st, st.cpu_params.data(), st.cpu_grads.data(),
                        current_lr_);
       encode_slot(st, st.cpu_params.data(), 0, params);
-      st.update_done =
-          d2h_.run_async([this, &st] { store_.write_back(st.index); });
-    } else if (cfg_.fp16) {
-      float* slot = slot_f32(st);
-      // The FP32 master is authoritative; the GPU copy is refreshed as FP16.
-      opts_.update_now(st, st.cpu_params.data(), st.cpu_grads.data(),
-                       current_lr_);
-      std::memcpy(slot, st.cpu_params.data(), params * sizeof(float));
-      tensor::quantize_fp16_inplace(slot, params);
       st.update_done =
           d2h_.run_async([this, &st] { store_.write_back(st.index); });
     } else {
@@ -683,7 +633,12 @@ void StrongholdEngine::update_resident_layer(LayerState& st) {
 
 void StrongholdEngine::apply_pinned_update(LayerState& st, float* buffer) {
   const auto n = static_cast<std::size_t>(st.params);
-  if (cfg_.fp16) quantize_grads_and_check(buffer + n, st.params);
+  if (f16_window()) {
+    // Pinned buffers stay f32; their gradients round through f16 like the
+    // encoded blocks' wire gradients do.
+    tensor::quantize_f16_inplace(buffer + n, n);
+    check_overflow({buffer + n, tensor::DType::f32, n});
+  }
   if (accum_first_) {
     std::copy_n(buffer + n, n, st.cpu_grads.data());
   } else {
@@ -691,11 +646,11 @@ void StrongholdEngine::apply_pinned_update(LayerState& st, float* buffer) {
   }
   if (!accum_final_) return;
   auto body = [this, &st, buffer, n] {
-    if (cfg_.fp16) {
+    if (f16_window()) {
       opts_.update_now(st, st.cpu_params.data(), st.cpu_grads.data(),
                        current_lr_);
       std::memcpy(buffer, st.cpu_params.data(), n * sizeof(float));
-      tensor::quantize_fp16_inplace(buffer, n);
+      tensor::quantize_f16_inplace(buffer, n);
     } else {
       opts_.update_now(st, buffer, st.cpu_grads.data(), current_lr_);
     }
@@ -732,7 +687,7 @@ void StrongholdEngine::begin_iteration_lr_and_clip() {
       cfg_.lr_schedule
           ? cfg_.lr_schedule(static_cast<std::int64_t>(iterations / accum) + 1)
           : -1.0f;
-  if (cfg_.fp16 && accum_first_) overflow_.store(false);
+  if (f16_window() && accum_first_) overflow_.store(false);
   if (!update_gate_active() || !accum_final_) return;
   grad_sumsq_.assign(store_.size(), 0.0);
   deferred_updates_.clear();
@@ -747,9 +702,9 @@ void StrongholdEngine::finalize_clipped_updates() {
   // overflow verdict exists.
   d2h_.wait_all();
 
-  const float loss_scale = cfg_.fp16 ? scaler_.scale() : 1.0f;
+  const float loss_scale = f16_window() ? scaler_.scale() : 1.0f;
   bool skip = false;
-  if (cfg_.fp16) {
+  if (f16_window()) {
     skip = !scaler_.update(overflow_.load());
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.loss_scale = scaler_.scale();
@@ -848,10 +803,10 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
   std::vector<float> losses(cfg_.num_executors, 0.0f);
   // Micro-batch splitting across executors and gradient-accumulation cycles
   // both average: the applied gradient is the mean over the whole effective
-  // batch. FP16 additionally multiplies by the dynamic loss scale so small
-  // gradients survive the half-precision wire format.
+  // batch. An f16 window additionally multiplies by the dynamic loss scale
+  // so small gradients survive the half-precision wire format.
   const float grad_scale =
-      (cfg_.fp16 ? scaler_.scale() : 1.0f) /
+      (f16_window() ? scaler_.scale() : 1.0f) /
       static_cast<float>(
           execs * static_cast<std::int64_t>(
                       std::max<std::size_t>(cfg_.grad_accumulation, 1)));
@@ -899,21 +854,23 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       LayerState& st = block(b);
       if (e == 0) {
         wait_ready(st);
-        // Decode the BF16 window copy into the FP32 staging view before the
-        // bind barrier; every executor computes on the decoded parameters.
-        if (bf16_window()) bind_params_f32(st);
+        // Decode the encoded window copy into the FP32 staging view before
+        // the bind barrier; every executor computes on the decoded
+        // parameters.
+        if (encoded_window()) bind_params_f32(st);
         if (b + window_ <= blocks) prefetch(b + window_);
       }
       bar.arrive_and_wait();
       const auto params = static_cast<std::size_t>(st.params);
       std::fill_n(scratch, params, 0.0f);
-      mdl.layer(b).bind(bf16_window() ? stage_.data() : slot_f32(st), scratch);
+      mdl.layer(b).bind(encoded_window() ? stage_.data() : slot_f32(st),
+                        scratch);
       const double t0 = now_seconds();
       x = mdl.layer(b).forward(x, micro_shape);
       if (e == 0 && profiling) {
         profiles_[b - 1].t_fp += now_seconds() - t0;
       }
-      if (e == 0) trace_span("gpu", "f", t0, now_seconds());
+      if (e == 0) obs::span("gpu", "f", t0, now_seconds());
       bar.arrive_and_wait();
       // Per-executor FP grads are unused; nothing to reduce here. Eviction:
       // recycle the computed layer when a future layer still needs a slot;
@@ -956,11 +913,11 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       LayerState& st = block(b);
       if (e == 0) {
         wait_ready(st);
-        if (bf16_window()) bind_params_f32(st);
+        if (encoded_window()) bind_params_f32(st);
         if (b > window_) prefetch(b - window_);
         // NVMe optimizer tier: issue the tier read of this layer's moments
         // now, so it overlaps the backward compute below and the update task
-        // finds them staged. Skipped under the clip/fp16 gate — the update
+        // finds them staged. Skipped under the clip/f16 gate — the update
         // may be skipped wholesale, and a lease held across the gate could
         // starve the staging ring.
         if (accum_final_ && !update_gate_active()) opts_.prefetch_moments(st);
@@ -971,22 +928,24 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       bar.arrive_and_wait();
       const auto params = static_cast<std::size_t>(st.params);
       std::fill_n(scratch, params, 0.0f);
-      mdl.layer(b).bind(bf16_window() ? stage_.data() : slot_f32(st), scratch);
+      mdl.layer(b).bind(encoded_window() ? stage_.data() : slot_f32(st),
+                        scratch);
       const double t0 = now_seconds();
       g = mdl.layer(b).backward(g, micro_shape);
       if (e == 0 && profiling) {
         profiles_[b - 1].t_bp += now_seconds() - t0;
       }
-      if (e == 0) trace_span("gpu", "b", t0, now_seconds());
+      if (e == 0) obs::span("gpu", "b", t0, now_seconds());
       bar.arrive_and_wait();
       if (e == 0) {
         // Gradient all-reduce across executors into the GPU buffer
         // (Section IV-A), then offload + update, or in-place update for the
-        // layers that stay resident for the next iteration (III-E1). Under a
-        // BF16 window the reduce happens in FP32 on the staging buffer and
+        // layers that stay resident for the next iteration (III-E1). Under an
+        // encoded window the reduce happens in FP32 on the staging buffer and
         // the sum is rounded once onto the wire — this encode is THE
-        // precision-loss event of the gradient path.
-        if (bf16_window()) {
+        // precision-loss event of the gradient path, and where an f16
+        // window takes its overflow verdict.
+        if (encoded_window()) {
           float* gsum = stage_.data() + max_block_params_;
           reduce_grads_into(gsum, params);
           if (cfg_.grad_reducer) {
@@ -994,6 +953,9 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
                               static_cast<std::int64_t>(params));
           }
           encode_slot(st, gsum, params, params);
+          if (f16_window()) {
+            check_overflow(slot_view(st).subview(params, params));
+          }
         } else {
           reduce_grads_into(slot_f32(st) + params, params);
           if (cfg_.grad_reducer) {
@@ -1073,13 +1035,15 @@ void StrongholdEngine::maybe_update_window() {
       2 * sizeof(float) *
       static_cast<std::size_t>(store_.state(0).params +
                                store_.state(head_index()).params);
-  input.s_avail =
-      static_cast<double>(gpu_pool_.capacity() - pinned_bytes);
+  // ByteBudget mode cannot grow its fixed buffer: the window must fit in it.
+  input.s_avail = static_cast<double>(window_budget_bytes_ != 0
+                                          ? window_budget_bytes_
+                                          : gpu_pool_.capacity() - pinned_bytes);
   input.t_async = cfg_.t_async;
 
   const WindowDecision d = solve_window(input);
   // The solver bounds d.m by its own memory model (max_m_by_memory), which
-  // was fed the true pool capacity minus the pinned layers.
+  // was fed the window's true byte budget.
   const std::size_t new_window = std::clamp<std::size_t>(d.m, 1, num_blocks());
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -1158,15 +1122,18 @@ void StrongholdEngine::quiesce_and_sync_masters() {
       store_.fault_in(i).wait();
     }
   }
-  // In FP32 mode the pinned layers are updated in place on the GPU; pull
-  // them back. In FP16 mode the FP32 masters are authoritative (the pinned
-  // buffers only hold the half-rounded compute copies).
-  if (!cfg_.fp16) {
-    for (std::size_t i : {std::size_t{0}, head_index()}) {
-      LayerState& st = store_.state(i);
-      std::memcpy(st.cpu_params.data(), slot_f32(st),
-                  sizeof(float) * static_cast<std::size_t>(st.params));
-    }
+  sync_pinned_masters();
+}
+
+void StrongholdEngine::sync_pinned_masters() {
+  // The pinned layers are updated in place on the GPU; pull them back. With
+  // an f16 window the FP32 masters are authoritative (the pinned buffers
+  // only hold the f16-rounded compute copies).
+  if (f16_window()) return;
+  for (std::size_t i : {std::size_t{0}, head_index()}) {
+    LayerState& st = store_.state(i);
+    std::memcpy(st.cpu_params.data(), slot_f32(st),
+                sizeof(float) * static_cast<std::size_t>(st.params));
   }
 }
 
@@ -1298,40 +1265,25 @@ void StrongholdEngine::snapshot_params(std::vector<float>& out) {
   }
 }
 
-void StrongholdEngine::save_checkpoint(const std::string& path) {
-  quiesce_and_sync_masters();
-  write_checkpoint(path, store_);
-}
-
-void StrongholdEngine::load_checkpoint(const std::string& path) {
-  quiesce_and_sync_masters();
-  read_checkpoint(path, store_);
-  // Refresh every GPU-resident copy from the restored masters, re-applying
-  // the wire-format rounding a fresh fetch would have (fp16/bf16).
-  for (std::size_t i = 0; i < store_.size(); ++i) {
-    LayerState& st = store_.state(i);
-    if (st.gpu_slot == nullptr) continue;
-    refresh_device_copy(st);
-    if (st.swap_backed) store_.write_back(i);
-  }
-  // Swap-backed layers that are not resident also need their tier refreshed.
-  if (swap_ != nullptr) {
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      LayerState& st = store_.state(i);
-      if (st.swap_backed && st.gpu_slot == nullptr) store_.write_back(i);
-    }
-  }
-}
-
 namespace {
 /// Shape guard stored in every snapshot: restoring into a different model
 /// geometry or precision mode is a typed error, not silent corruption.
+/// `fp16` records whether the engine ran an f16 window (loss scaling, and
+/// f16-rounded pinned copies); bf16 and f32 windows share one format.
 struct CkptGeometry {
   std::uint64_t layers = 0;
   std::uint64_t total_params = 0;
   std::uint32_t fp16 = 0;
   std::uint32_t grad_accumulation = 1;
 };
+
+/// Snapshot tensor-name prefix of layer `i` ("L<i>"), built by append:
+/// `"L" + std::to_string(i)` trips a GCC 12 -Wrestrict false positive.
+std::string layer_prefix(std::size_t i) {
+  std::string prefix("L");
+  prefix += std::to_string(i);
+  return prefix;
+}
 }  // namespace
 
 ckpt::Snapshot StrongholdEngine::capture_snapshot() {
@@ -1346,13 +1298,7 @@ ckpt::Snapshot StrongholdEngine::capture_snapshot() {
   d2h_.wait_all();
   h2d_.wait_all();
   if (swap_ != nullptr) swap_->wait_all();
-  if (!cfg_.fp16) {
-    for (std::size_t i : {std::size_t{0}, head_index()}) {
-      LayerState& st = store_.state(i);
-      std::memcpy(st.cpu_params.data(), slot_f32(st),
-                  sizeof(float) * static_cast<std::size_t>(st.params));
-    }
-  }
+  sync_pinned_masters();
 
   std::size_t iterations;
   {
@@ -1369,12 +1315,12 @@ ckpt::Snapshot StrongholdEngine::capture_snapshot() {
   snap.step = iterations;
   CkptGeometry geom;
   geom.layers = store_.size();
-  geom.fp16 = cfg_.fp16 ? 1 : 0;
+  geom.fp16 = f16_window() ? 1 : 0;
   geom.grad_accumulation = static_cast<std::uint32_t>(accum);
   std::vector<std::int64_t> steps(store_.size());
   for (std::size_t i = 0; i < store_.size(); ++i) {
     const LayerState& st = store_.state(i);
-    const std::string prefix = "L" + std::to_string(i);
+    const std::string prefix = layer_prefix(i);
     snap.tensors.push_back({prefix + ".params", st.cpu_params});
     // NVMe-tiered layers have no host moment plane; moments_copy reads the
     // tier's moment region (the only place they live). The snapshot format
@@ -1403,7 +1349,7 @@ void StrongholdEngine::restore_snapshot(const ckpt::Snapshot& snap) {
   const std::size_t accum = std::max<std::size_t>(cfg_.grad_accumulation, 1);
   CkptGeometry want;
   want.layers = store_.size();
-  want.fp16 = cfg_.fp16 ? 1 : 0;
+  want.fp16 = f16_window() ? 1 : 0;
   want.grad_accumulation = static_cast<std::uint32_t>(accum);
   for (std::size_t i = 0; i < store_.size(); ++i) {
     want.total_params +=
@@ -1460,7 +1406,7 @@ void StrongholdEngine::restore_snapshot(const ckpt::Snapshot& snap) {
   // before any copy lands), so the install cannot leave the store half-new.
   const bool mid_cycle = snap.step % accum != 0;
   for (std::size_t i = 0; i < store_.size(); ++i) {
-    const std::string prefix = "L" + std::to_string(i);
+    const std::string prefix = layer_prefix(i);
     const auto params = static_cast<std::size_t>(store_.state(i).params);
     (void)tensor_for(prefix + ".params", params);
     (void)tensor_for(prefix + ".opt", store_.opt_floats(i));
@@ -1468,7 +1414,7 @@ void StrongholdEngine::restore_snapshot(const ckpt::Snapshot& snap) {
   }
   for (std::size_t i = 0; i < store_.size(); ++i) {
     LayerState& st = store_.state(i);
-    const std::string prefix = "L" + std::to_string(i);
+    const std::string prefix = layer_prefix(i);
     const auto params = static_cast<std::size_t>(st.params);
     const auto& p = tensor_for(prefix + ".params", params);
     std::copy(p.begin(), p.end(), st.cpu_params.begin());
@@ -1491,8 +1437,8 @@ void StrongholdEngine::restore_snapshot(const ckpt::Snapshot& snap) {
   }
 
   // Refresh every GPU-resident copy (and the swap tier) from the restored
-  // masters, exactly as load_checkpoint does — plus the wire-format rounding
-  // (fp16/bf16) that a freshly fetched layer would carry.
+  // masters, with the wire-format rounding a freshly fetched layer would
+  // carry.
   for (std::size_t i = 0; i < store_.size(); ++i) {
     LayerState& st = store_.state(i);
     if (st.gpu_slot == nullptr) continue;
@@ -1602,8 +1548,8 @@ void StrongholdEngine::export_metrics(obs::MetricsSnapshot& out) const {
           n(s.d2h_bytes) / n(std::max<std::size_t>(s.iterations, 1)),
           "bytes");
   out.add("engine.d2h_queue_depth", n(d2h_.queue_depth()));
-  // True wire bytes as seen by the links themselves (dtype-honest: fp16 and
-  // bf16 both report 2 bytes/element).
+  // True wire bytes as seen by the links themselves (dtype-honest: bf16 and
+  // f16 both report 2 bytes/element).
   out.add("engine.h2d_link_bytes", n(h2d_.bytes_transferred()), "bytes");
   out.add("engine.d2h_link_bytes", n(d2h_.bytes_transferred()), "bytes");
   out.add("engine.window_elem_bytes", n(elem_bytes_), "bytes");
@@ -1620,6 +1566,9 @@ void StrongholdEngine::export_metrics(obs::MetricsSnapshot& out) const {
   out.add("optimizer.tier_demand_reads", n(s.moment_demand_reads));
   out.add("optimizer.tier_update_skips", n(s.moment_update_skips));
   out.add("optimizer.tier_writes", n(s.moment_writes));
+  // Activation spill needs the NVMe tier and a single executor; report
+  // whether this engine runs it, since the multi-executor case drops it.
+  out.add("engine.act_spill_enabled", act_spill_enabled_ ? 1.0 : 0.0);
   out.add("engine.act_spills", n(s.act_spills));
   out.add("engine.act_restores", n(s.act_restores));
   out.add("arena.capacity_bytes", n(s.arena.capacity), "bytes");

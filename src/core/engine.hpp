@@ -47,7 +47,6 @@
 #include "obs/metrics.hpp"
 #include "optim/optimizer.hpp"
 #include "optim/schedule.hpp"
-#include "sim/trace.hpp"
 #include "storage/swap_file.hpp"
 #include "tensor/dtype.hpp"
 
@@ -102,25 +101,26 @@ struct EngineConfig {
   /// applies them every `grad_accumulation`-th call. Equivalent to training
   /// with a grad_accumulation-times larger batch.
   std::size_t grad_accumulation = 1;
-  /// Mixed precision: parameters and gradients move across the CPU<->GPU
-  /// link in FP16 (compute stays FP32 on FP16-rounded values); FP32 masters
-  /// and optimizer state live on the CPU; dynamic loss scaling skips
-  /// overflowed steps [12].
-  bool fp16 = false;
+  /// Dynamic loss scaling for f16 windows [12] (ignored otherwise).
   LossScalerConfig loss_scaler{};
   /// Element encoding of the GPU working window (block slots and their
-  /// CPU<->GPU transfers). With bf16, slots genuinely store 2-byte elements:
-  /// fault-in encodes the FP32 master to bf16, compute runs FP32 on a
-  /// decoded staging view, gradients round through bf16 on the wire, and
-  /// the CPU optimizer updates FP32 masters — which stay the only persisted
-  /// truth (checkpoints/swap are dtype-blind). Halves window bytes and PCIe
-  /// traffic; bf16 keeps the f32 exponent range so no loss scaling is
-  /// needed (mutually exclusive with fp16). The SH_WINDOW_DTYPE environment
-  /// variable ("f32"/"bf16") overrides this at engine construction.
+  /// CPU<->GPU transfers). With bf16 or f16, slots genuinely store 2-byte
+  /// elements: fault-in encodes the FP32 master, compute runs FP32 on a
+  /// decoded staging view, gradients round through the encoding on the
+  /// wire, and the CPU optimizer updates FP32 masters — which stay the only
+  /// persisted truth (checkpoints/swap are dtype-blind). Halves window bytes
+  /// and PCIe traffic. bf16 keeps the f32 exponent range, so it needs no loss
+  /// scaling; f16 (mixed precision [12]) does: gradients are multiplied by
+  /// the dynamic loss scale, an overflow after the f16 encode skips the
+  /// step, and the pinned embedding/head compute on f16-rounded copies too.
+  /// The SH_WINDOW_DTYPE environment variable ("f32"/"bf16"/"f16")
+  /// overrides this at engine construction.
   tensor::DType window_dtype = tensor::DType::f32;
   /// How f32 -> bf16 encodes round: nearest-even (default) or stochastic
-  /// (unbiased; deterministic per (rounding_seed, layer, event)). Overridden
-  /// by SH_WINDOW_ROUNDING ("nearest_even"/"stochastic") at construction.
+  /// (unbiased; deterministic per (rounding_seed, layer, event)). f16 has
+  /// only the nearest-even codec, so stochastic with f16 is rejected at
+  /// construction. Overridden by SH_WINDOW_ROUNDING
+  /// ("nearest_even"/"stochastic") at construction.
   tensor::Rounding window_rounding = tensor::Rounding::nearest_even;
   /// Seed for the stochastic-rounding streams.
   std::uint64_t rounding_seed = 0x57484F4C44ull;
@@ -154,10 +154,6 @@ struct EngineConfig {
   /// (Sections III-E2, VI-D2). Called on the controlling executor's thread.
   std::function<void(std::size_t layer_index, float* grads, std::int64_t n)>
       grad_reducer{};
-  /// Records a wall-clock execution timeline (compute / h2d / d2h / cpu-opt
-  /// spans) retrievable via trace() — the runtime counterpart of the paper's
-  /// Figure 4 profiling trace.
-  bool record_trace = false;
   /// Crash-consistent checkpointing (sh::ckpt). An empty `ckpt.dir` disables
   /// it; SH_CKPT_* environment variables override at construction. With
   /// `ckpt.every_n_steps` set, the engine captures a snapshot at that cadence
@@ -212,8 +208,8 @@ struct EngineStats {
   /// compatibility). Includes soft-charged activation/KV bytes, so it may
   /// exceed gpu_memory_bytes when a pass overcommits gracefully.
   std::size_t gpu_high_water_bytes = 0;
-  float loss_scale = 1.0f;          // fp16: current dynamic loss scale
-  std::size_t skipped_updates = 0;  // fp16: steps dropped due to overflow
+  float loss_scale = 1.0f;          // f16: current dynamic loss scale
+  std::size_t skipped_updates = 0;  // f16: steps dropped due to overflow
   std::size_t ckpt_snapshots = 0;   // training-state captures taken
   std::size_t ckpt_last_gasp = 0;   // checkpoints triggered by a tier fault
   /// Full per-region accounting of the device arena (window / kv /
@@ -298,14 +294,6 @@ class StrongholdEngine {
   /// updates first.
   void snapshot_params(std::vector<float>& out);
 
-  /// Persists the full training state (params + optimizer + step counters)
-  /// after quiescing all in-flight work.
-  void save_checkpoint(const std::string& path);
-
-  /// Restores a checkpoint saved by save_checkpoint; training resumes
-  /// exactly where it left off. GPU-resident copies are refreshed.
-  void load_checkpoint(const std::string& path);
-
   /// Captures the complete training state as a CPU-side ckpt::Snapshot:
   /// FP32 master params + Adam moments for every layer (read from the CPU
   /// side of the window — no device drain), per-layer optimizer steps, the
@@ -351,11 +339,6 @@ class StrongholdEngine {
   mem::DeviceArena& device_arena() noexcept { return gpu_pool_; }
   const mem::DeviceArena& device_arena() const noexcept { return gpu_pool_; }
 
-  /// Wall-clock execution trace (only populated with record_trace). Call
-  /// after quiescing (end of a train_step is fine; spans from in-flight
-  /// background work land when it completes).
-  sim::Trace trace_snapshot() const;
-
  private:
   std::size_t num_blocks() const noexcept { return store_.size() - 2; }
   std::size_t head_index() const noexcept { return store_.size() - 1; }
@@ -365,6 +348,9 @@ class StrongholdEngine {
   /// Drains transfers/updates and pulls pinned-layer parameters back into
   /// the CPU masters so they are authoritative.
   void quiesce_and_sync_masters();
+  /// Pulls the in-place-updated pinned embedding/head back into their
+  /// masters (a no-op for f16 windows, whose masters are authoritative).
+  void sync_pinned_masters();
   /// Evicts resident blocks outside the current head window and prefetches
   /// blocks 1..window — the canonical pass-start state. Handles residual
   /// residency from inference passes or window-size changes.
@@ -378,32 +364,40 @@ class StrongholdEngine {
   /// master into the window dtype.
   void issue_fetch(LayerState& st, std::byte* slot);
   void wait_ready(LayerState& st);
-  bool bf16_window() const noexcept {
-    return cfg_.window_dtype == tensor::DType::bf16;
+  /// bf16/f16: block slots hold 2-byte elements that compute decodes into
+  /// the f32 staging buffer.
+  bool encoded_window() const noexcept {
+    return cfg_.window_dtype != tensor::DType::f32;
   }
-  /// Bytes one layer's parameters occupy on the CPU<->GPU wire (fp16 and
-  /// bf16 both halve them; they are mutually exclusive).
+  /// f16: dynamic loss scaling, the overflow gate and f16-rounded pinned
+  /// copies (the only f16-specific behaviour; the slots follow bf16's path).
+  bool f16_window() const noexcept {
+    return cfg_.window_dtype == tensor::DType::f16;
+  }
+  /// Bytes one layer's parameters occupy on the CPU<->GPU wire.
   std::size_t wire_param_bytes(std::int64_t params) const noexcept {
-    return static_cast<std::size_t>(params) * (cfg_.fp16 ? 2 : elem_bytes_);
+    return static_cast<std::size_t>(params) * elem_bytes_;
   }
-  /// f32 view of a block slot's parameter half (f32/fp16 windows only).
+  /// f32 view of a pinned buffer or an f32-window block slot.
   float* slot_f32(LayerState& st) noexcept {
     return reinterpret_cast<float*>(st.gpu_slot);
   }
-  /// bf16 view of a block slot (bf16 windows only).
-  tensor::bf16* slot_b16(LayerState& st) noexcept {
-    return reinterpret_cast<tensor::bf16*>(st.gpu_slot);
+  /// Dtype-tagged view of a block slot (params then grads).
+  tensor::StorageView slot_view(LayerState& st) noexcept {
+    return {st.gpu_slot, cfg_.window_dtype,
+            2 * static_cast<std::size_t>(st.params)};
   }
-  /// BF16: decodes the slot's parameter half into the f32 compute staging
-  /// buffer and returns it; f32/fp16: returns the slot directly.
+  /// Encoded window: decodes the slot's parameter half into the f32 compute
+  /// staging buffer and returns it; f32 windows and pinned layers: returns
+  /// the slot directly.
   float* bind_params_f32(LayerState& st);
   /// Encodes `n` f32 values into the slot at element offset `offset`,
   /// honouring the configured rounding mode (stochastic draws a fresh
-  /// deterministic stream per call). Only valid for bf16 windows.
+  /// deterministic stream per call). Only valid for encoded windows.
   void encode_slot(LayerState& st, const float* src, std::size_t offset,
                    std::size_t n);
   /// Refreshes a layer's device-resident copy from its FP32 master after a
-  /// checkpoint restore (dtype-aware; pinned layers stay f32).
+  /// snapshot restore (dtype-aware; pinned layers stay f32).
   void refresh_device_copy(LayerState& st);
   void evict_after_forward(LayerState& st);
   void evict_after_backward(LayerState& st);
@@ -413,12 +407,12 @@ class StrongholdEngine {
   void apply_pinned_update(LayerState& st, float* buffer);
   bool clipping() const noexcept { return cfg_.clip_grad_norm > 0.0f; }
   /// Updates defer behind a per-step gate when they depend on whole-step
-  /// information: the global norm (clipping) or the overflow verdict (fp16).
+  /// information: the global norm (clipping) or the overflow verdict (f16).
   bool update_gate_active() const noexcept {
-    return clipping() || cfg_.fp16;
+    return clipping() || f16_window();
   }
-  /// FP16: quantise a freshly reduced gradient region and record overflow.
-  void quantize_grads_and_check(float* grads, std::int64_t n);
+  /// f16: records overflow when an encoded gradient region is non-finite.
+  void check_overflow(const tensor::StorageView& grads);
   void begin_iteration_lr_and_clip();
   void finalize_clipped_updates();
   void maybe_update_window();
@@ -458,13 +452,15 @@ class StrongholdEngine {
   std::size_t elem_bytes_ = 4;      // bytes per window element (dtype)
   std::size_t max_block_params_ = 0;
   std::size_t slots_reserved_ = 0;  // window + stage slots currently held
-  /// BF16 windows: f32 compute staging — [0, max_block_params_) holds the
+  /// ByteBudget mode: bytes of the fixed window buffer (0 otherwise). The
+  /// warm-up window and the auto-window's memory bound are sized from it.
+  std::size_t window_budget_bytes_ = 0;
+  /// Encoded windows: f32 compute staging — [0, max_block_params_) holds the
   /// decoded parameters of the layer being computed, [max_block_params_,
   /// 2*max_block_params_) the executor-reduced f32 gradients before they
   /// round onto the wire. Per-layer compute is barrier-serialised, so one
   /// buffer suffices; it is deliberately not charged to the window region
-  /// (it models the f32 compute view, as the fp16 path's in-place rounding
-  /// does).
+  /// (it models the f32 compute view of the encoded slot).
   std::vector<float> stage_;
 
   // Pinned (always-resident) buffers for the first/last layer.
@@ -521,14 +517,6 @@ class StrongholdEngine {
   mutable std::mutex stats_mu_;
   EngineStats stats_;
 
-  // Wall-clock tracing. trace_span always forwards to the global obs
-  // recorder (a no-op unless obs is enabled) and additionally appends to the
-  // engine-local sim::Trace when record_trace is set.
-  void trace_span(const char* resource, const char* label, double t0,
-                  double t1);
-  mutable std::mutex trace_mu_;
-  sim::Trace trace_;
-  double trace_epoch_ = 0.0;
   std::uint64_t obs_provider_id_ = 0;
 };
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "tensor/half.hpp"
+#include "tensor/dtype.hpp"
 #include "tensor/ops.hpp"
 
 namespace sh::core {
@@ -32,7 +32,7 @@ void MonolithicTrainer::init_params(std::uint64_t seed) {
     staged_params_.resize(store_.size());
     for (std::size_t i = 0; i < store_.size(); ++i) {
       staged_params_[i] = store_.state(i).cpu_params;
-      tensor::quantize_fp16_inplace(staged_params_[i].data(),
+      tensor::quantize_f16_inplace(staged_params_[i].data(),
                                     staged_params_[i].size());
     }
   }
@@ -69,7 +69,7 @@ float MonolithicTrainer::train_step(const data::Batch& batch) {
   if (fp16) {
     for (std::size_t i = 0; i < store_.size(); ++i) {
       LayerState& st = store_.state(i);
-      tensor::quantize_fp16_inplace(st.cpu_grads.data(), st.cpu_grads.size());
+      tensor::quantize_f16_inplace(st.cpu_grads.data(), st.cpu_grads.size());
       for (float g : st.cpu_grads) {
         if (!std::isfinite(g)) {
           overflow = true;
@@ -112,7 +112,7 @@ float MonolithicTrainer::train_step(const data::Batch& batch) {
                st.step, st.params, lr);
     if (fp16) {
       staged_params_[i] = st.cpu_params;
-      tensor::quantize_fp16_inplace(staged_params_[i].data(),
+      tensor::quantize_f16_inplace(staged_params_[i].data(),
                                     staged_params_[i].size());
     }
   }

@@ -23,6 +23,8 @@ namespace sh::core {
 struct TrainOptions {
   float clip_grad_norm = 0.0f;
   optim::LrSchedule lr_schedule{};
+  /// Computes on f16-rounded parameters with f16-rounded gradients and
+  /// dynamic loss scaling: the oracle for window_dtype = f16.
   bool fp16 = false;
   LossScalerConfig loss_scaler{};
 };

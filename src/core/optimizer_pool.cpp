@@ -155,9 +155,7 @@ std::shared_future<void> OptimizerPool::submit(LayerState& st,
       release_moments(lease, std::move(wb));
     }
     if (post) post();
-    const double t1 = wall_seconds();
-    obs::span("cpu-opt", "update", t0, t1);
-    if (observer_) observer_(t0, t1);
+    obs::span("cpu-opt", "update", t0, wall_seconds());
     completed_.fetch_add(1, std::memory_order_relaxed);
   });
   st.update_done = fut.share();

@@ -55,12 +55,6 @@ class OptimizerPool {
   std::size_t in_flight() const noexcept { return in_flight_.load(); }
   std::size_t workers() const noexcept { return pool_.num_threads(); }
 
-  /// Observer invoked with (start, end) wall-clock seconds of every update —
-  /// used by the engine's execution tracer. Set before submitting work.
-  void set_update_observer(std::function<void(double, double)> observer) {
-    observer_ = std::move(observer);
-  }
-
   /// Enables NVMe-resident moment paging (ZeRO-Infinity-style optimizer
   /// offload): updates of `store`'s opt-tiered layers stage their Adam
   /// moments through a small ring of reusable host buffers, reading from and
@@ -107,7 +101,6 @@ class OptimizerPool {
   std::atomic<std::size_t> next_actor_{0};
   std::atomic<std::size_t> completed_{0};
   std::atomic<std::size_t> in_flight_{0};
-  std::function<void(double, double)> observer_;
 
   LayerStore* store_ = nullptr;  // non-null once the moment tier is enabled
   std::vector<MomentLease> leases_;

@@ -1,6 +1,7 @@
 #include "tensor/dtype.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -42,7 +43,14 @@ std::string lower(std::string_view name) {
 }  // namespace
 
 const char* dtype_name(DType dt) noexcept {
-  return dt == DType::bf16 ? "bf16" : "f32";
+  switch (dt) {
+    case DType::bf16:
+      return "bf16";
+    case DType::f16:
+      return "f16";
+    default:
+      return "f32";
+  }
 }
 
 const char* rounding_name(Rounding r) noexcept {
@@ -53,8 +61,9 @@ DType parse_dtype(std::string_view name) {
   const std::string n = lower(name);
   if (n == "f32" || n == "fp32" || n == "float32") return DType::f32;
   if (n == "bf16" || n == "bfloat16") return DType::bf16;
+  if (n == "f16" || n == "fp16" || n == "half") return DType::f16;
   throw std::invalid_argument("unknown dtype \"" + std::string(name) +
-                              "\" (expected f32 or bf16)");
+                              "\" (expected f32, bf16 or f16)");
 }
 
 Rounding parse_rounding(std::string_view name) {
@@ -117,6 +126,86 @@ void quantize_bf16_inplace(float* data, std::size_t n) noexcept {
   }
 }
 
+f16 float_to_f16(float value) noexcept {
+  const std::uint32_t bits = f32_bits(value);
+  const std::uint32_t sign = (bits >> 16) & 0x8000u;
+  const std::uint32_t exp = (bits >> 23) & 0xFFu;
+  std::uint32_t mant = bits & 0x7FFFFFu;
+
+  if (exp == 0xFFu) {  // inf or NaN
+    if (mant != 0) return static_cast<f16>(sign | 0x7E00u);  // quiet NaN
+    return static_cast<f16>(sign | 0x7C00u);                 // infinity
+  }
+
+  // Re-bias exponent: fp32 bias 127, fp16 bias 15.
+  const int e = static_cast<int>(exp) - 127 + 15;
+  if (e >= 31) return static_cast<f16>(sign | 0x7C00u);  // overflow -> inf
+  if (e <= 0) {
+    // Subnormal (or zero) in f16.
+    if (e < -10) return static_cast<f16>(sign);  // too small -> +-0
+    // Add the implicit leading 1 and shift right; round to nearest even.
+    mant |= 0x800000u;
+    const auto shift = static_cast<unsigned>(14 - e);
+    const std::uint32_t sub = mant >> shift;
+    const std::uint32_t rem = mant & ((1u << shift) - 1u);
+    const std::uint32_t halfway = 1u << (shift - 1);
+    std::uint32_t result = sub;
+    if (rem > halfway || (rem == halfway && (sub & 1u))) ++result;
+    return static_cast<f16>(sign | result);
+  }
+  // Normal number: keep 10 mantissa bits, round to nearest even.
+  std::uint32_t result =
+      sign | (static_cast<std::uint32_t>(e) << 10) | (mant >> 13);
+  const std::uint32_t rem = mant & 0x1FFFu;
+  if (rem > 0x1000u || (rem == 0x1000u && (result & 1u))) {
+    ++result;  // may carry into the exponent, which is still correct
+  }
+  return static_cast<f16>(result);
+}
+
+float f16_to_float(f16 value) noexcept {
+  const std::uint32_t sign = (static_cast<std::uint32_t>(value) & 0x8000u)
+                             << 16;
+  const std::uint32_t exp = (value >> 10) & 0x1Fu;
+  const std::uint32_t mant = value & 0x3FFu;
+
+  std::uint32_t bits;
+  if (exp == 0) {
+    if (mant == 0) {
+      bits = sign;  // +-0
+    } else {
+      // Subnormal: normalise.
+      int e = -1;
+      std::uint32_t m = mant;
+      do {
+        ++e;
+        m <<= 1;
+      } while ((m & 0x400u) == 0);
+      bits = sign | static_cast<std::uint32_t>(127 - 15 - e) << 23 |
+             ((m & 0x3FFu) << 13);
+    }
+  } else if (exp == 0x1Fu) {
+    bits = sign | 0x7F800000u | (mant << 13);  // inf / NaN
+  } else {
+    bits = sign | ((exp - 15 + 127) << 23) | (mant << 13);
+  }
+  return bits_f32(bits);
+}
+
+void convert_float_to_f16(const float* src, f16* dst, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_f16(src[i]);
+}
+
+void convert_f16_to_float(const f16* src, float* dst, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = f16_to_float(src[i]);
+}
+
+void quantize_f16_inplace(float* data, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = f16_to_float(float_to_f16(data[i]));
+  }
+}
+
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b,
                        std::uint64_t c) noexcept {
   // SplitMix64 finalisers chained over the three inputs.
@@ -132,7 +221,8 @@ std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b,
 
 float* StorageView::f32() {
   if (dtype_ != DType::f32) {
-    throw std::logic_error("StorageView::f32 on a bf16 view");
+    throw std::logic_error(std::string("StorageView::f32 on a ") +
+                           dtype_name(dtype_) + " view");
   }
   return reinterpret_cast<float*>(data_);
 }
@@ -143,7 +233,8 @@ const float* StorageView::f32() const {
 
 bf16* StorageView::b16() {
   if (dtype_ != DType::bf16) {
-    throw std::logic_error("StorageView::b16 on an f32 view");
+    throw std::logic_error(std::string("StorageView::b16 on a ") +
+                           dtype_name(dtype_) + " view");
   }
   return reinterpret_cast<bf16*>(data_);
 }
@@ -152,11 +243,28 @@ const bf16* StorageView::b16() const {
   return const_cast<StorageView*>(this)->b16();
 }
 
+bool StorageView::has_non_finite() const noexcept {
+  if (dtype_ == DType::f32) {
+    for (std::size_t i = 0; i < numel_; ++i) {
+      if (!std::isfinite(load(i))) return true;
+    }
+    return false;
+  }
+  // 16-bit encodings: an all-ones exponent field is inf or NaN.
+  const std::uint16_t exp_mask = dtype_ == DType::f16 ? 0x7C00u : 0x7F80u;
+  for (std::size_t i = 0; i < numel_; ++i) {
+    std::uint16_t v;
+    std::memcpy(&v, data_ + i * sizeof(v), sizeof(v));
+    if ((v & exp_mask) == exp_mask) return true;
+  }
+  return false;
+}
+
 float StorageView::load(std::size_t i) const noexcept {
-  if (dtype_ == DType::bf16) {
-    bf16 v;
-    std::memcpy(&v, data_ + i * sizeof(bf16), sizeof(v));
-    return bf16_to_float(v);
+  if (dtype_ != DType::f32) {
+    std::uint16_t v;
+    std::memcpy(&v, data_ + i * sizeof(v), sizeof(v));
+    return dtype_ == DType::f16 ? f16_to_float(v) : bf16_to_float(v);
   }
   float v;
   std::memcpy(&v, data_ + i * sizeof(float), sizeof(v));
@@ -164,9 +272,10 @@ float StorageView::load(std::size_t i) const noexcept {
 }
 
 void StorageView::store(std::size_t i, float value) noexcept {
-  if (dtype_ == DType::bf16) {
-    const bf16 v = float_to_bf16(value);
-    std::memcpy(data_ + i * sizeof(bf16), &v, sizeof(v));
+  if (dtype_ != DType::f32) {
+    const std::uint16_t v =
+        dtype_ == DType::f16 ? float_to_f16(value) : float_to_bf16(value);
+    std::memcpy(data_ + i * sizeof(v), &v, sizeof(v));
     return;
   }
   std::memcpy(data_ + i * sizeof(float), &value, sizeof(value));
@@ -174,21 +283,32 @@ void StorageView::store(std::size_t i, float value) noexcept {
 
 void StorageView::decode(float* dst, std::size_t n,
                          std::size_t offset) const noexcept {
-  if (dtype_ == DType::bf16) {
-    convert_bf16_to_float(reinterpret_cast<const bf16*>(data_) + offset, dst,
-                          n);
-    return;
+  switch (dtype_) {
+    case DType::bf16:
+      convert_bf16_to_float(reinterpret_cast<const bf16*>(data_) + offset,
+                            dst, n);
+      return;
+    case DType::f16:
+      convert_f16_to_float(reinterpret_cast<const f16*>(data_) + offset, dst,
+                           n);
+      return;
+    default:
+      std::memcpy(dst, data_ + offset * sizeof(float), n * sizeof(float));
   }
-  std::memcpy(dst, data_ + offset * sizeof(float), n * sizeof(float));
 }
 
 void StorageView::encode(const float* src, std::size_t n,
                          std::size_t offset) noexcept {
-  if (dtype_ == DType::bf16) {
-    convert_float_to_bf16(src, reinterpret_cast<bf16*>(data_) + offset, n);
-    return;
+  switch (dtype_) {
+    case DType::bf16:
+      convert_float_to_bf16(src, reinterpret_cast<bf16*>(data_) + offset, n);
+      return;
+    case DType::f16:
+      convert_float_to_f16(src, reinterpret_cast<f16*>(data_) + offset, n);
+      return;
+    default:
+      std::memcpy(data_ + offset * sizeof(float), src, n * sizeof(float));
   }
-  std::memcpy(data_ + offset * sizeof(float), src, n * sizeof(float));
 }
 
 void StorageView::encode(const float* src, std::size_t n, Rounding rounding,

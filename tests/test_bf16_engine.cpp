@@ -195,16 +195,6 @@ TEST(Bf16Window, StochasticRoundingIsDeterministicUnderFixedSeed) {
   EXPECT_NE(a.losses, c.losses);
 }
 
-TEST(Bf16Window, RejectsFp16Bf16Combination) {
-  const auto mcfg = tiny_config();
-  nn::GptModel model(mcfg);
-  EngineConfig cfg;
-  cfg.window = 2;
-  cfg.fp16 = true;
-  cfg.window_dtype = tensor::DType::bf16;
-  EXPECT_THROW(StrongholdEngine(model, cfg), std::invalid_argument);
-}
-
 TEST(Bf16Window, EnvVarOverridesDtypeAtConstruction) {
   ::setenv("SH_WINDOW_DTYPE", "bf16", 1);
   const auto mcfg = tiny_config();
@@ -219,6 +209,31 @@ TEST(Bf16Window, EnvVarOverridesDtypeAtConstruction) {
   const auto* m = snap.find("engine.window_elem_bytes");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->value, 2.0);
+}
+
+TEST(F16Window, EnvVarSelectsF16WindowWithLossScaling) {
+  // SH_WINDOW_DTYPE=f16 selects the whole f16 path — 2-byte slots and the
+  // loss-scaled, overflow-gated updates — exactly as the config field does.
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 2);
+  EngineConfig cfg;
+  cfg.window = 2;
+  cfg.loss_scaler.initial_scale = 128.0f;
+  EngineConfig explicit_cfg = cfg;
+  explicit_cfg.window_dtype = tensor::DType::f16;
+  const auto want = run_engine(mcfg, explicit_cfg, batches);
+
+  ::setenv("SH_WINDOW_DTYPE", "f16", 1);
+  const auto got = run_engine(mcfg, cfg, batches);
+  nn::GptModel model(mcfg);
+  obs::MetricsSnapshot snap;
+  StrongholdEngine(model, cfg).export_metrics(snap);
+  ::unsetenv("SH_WINDOW_DTYPE");
+
+  ASSERT_NE(snap.find("engine.window_elem_bytes"), nullptr);
+  EXPECT_EQ(snap.find("engine.window_elem_bytes")->value, 2.0);
+  EXPECT_EQ(got.losses, want.losses);
+  sh::testing::expect_allclose(got.params, want.params, 0.0f, 0.0f);
 }
 
 TEST(Bf16Window, TrainsCorrectlyUnderEnvOverride) {

@@ -227,5 +227,40 @@ TEST(ByteBudgetEngine, FitsWhereUniformSlotsCannot) {
   EXPECT_GT(loss, 0.0f);
 }
 
+TEST(ByteBudgetEngine, AutoWindowWarmsUpWithinBudget) {
+  // window = 0 with a budget smaller than the device: the warm-up and the
+  // auto-selected window must fit the budget. Sized from the device, FP
+  // never evicts and the first acquire past the budget blocks forever.
+  nn::GptConfig mcfg = moe_config();
+  mcfg.moe_experts = 0;
+  mcfg.layers = 6;
+  data::SyntheticCorpus corpus(mcfg.vocab, 33);
+  std::vector<data::Batch> batches;
+  for (int i = 0; i < 5; ++i) {
+    batches.push_back(corpus.next_batch(2, mcfg.max_seq));
+  }
+  nn::GptModel ref_model(mcfg), model(mcfg);
+  MonolithicTrainer ref(ref_model, optim::AdamConfig{});
+  ref.init_params(42);
+  std::vector<float> ref_losses, ref_params, losses, params;
+  for (const auto& b : batches) ref_losses.push_back(ref.train_step(b));
+  ref.snapshot_params(ref_params);
+
+  EngineConfig ecfg;
+  ecfg.window = 0;  // auto, after warmup_iterations = 2
+  ecfg.window_mode = WindowMode::ByteBudget;
+  ecfg.window_budget_floats =  // 3 slots: window 2 plus one prefetch
+      3 * 2 * static_cast<std::size_t>(model.layer(1).param_count());
+  StrongholdEngine engine(model, ecfg);
+  engine.init_params(42);
+  EXPECT_LE(engine.window(), 2u);
+  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  engine.snapshot_params(params);
+  EXPECT_TRUE(engine.stats().window_auto_selected);
+  EXPECT_LE(engine.stats().window, 2u);
+  EXPECT_EQ(losses, ref_losses);
+  sh::testing::expect_allclose(params, ref_params, 0.0f, 0.0f);
+}
+
 }  // namespace
 }  // namespace sh::core

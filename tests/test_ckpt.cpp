@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <limits>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,7 +74,8 @@ Snapshot make_snapshot(std::uint64_t step, float bias = 0.0f) {
   snap.step = step;
   for (int t = 0; t < 3; ++t) {
     TensorEntry e;
-    e.name = "T" + std::to_string(t);
+    e.name = "T";
+    e.name += std::to_string(t);  // not "T" + ...: GCC 12 -Wrestrict noise
     e.data.resize(257 + static_cast<std::size_t>(t) * 64);
     for (std::size_t i = 0; i < e.data.size(); ++i) {
       e.data[i] = bias + static_cast<float>(t) + static_cast<float>(i) * 0.5f;
@@ -536,7 +538,7 @@ TEST(EngineCkpt, Fp16ResumeRestoresLossScalerState) {
   const auto mcfg = tiny_config();
   core::EngineConfig base;
   base.window = 2;
-  base.fp16 = true;
+  base.window_dtype = tensor::DType::f16;
   base.loss_scaler.initial_scale = 256.0f;
   base.loss_scaler.growth_interval = 3;  // force scaler dynamics in-run
 
@@ -552,6 +554,57 @@ TEST(EngineCkpt, Fp16ResumeRestoresLossScalerState) {
     EXPECT_EQ(after.losses[i], ref.losses[4 + i]) << "step " << 5 + i;
   }
   sh::testing::expect_allclose(after.params, ref.params, 0.0f, 0.0f);
+}
+
+TEST(EngineCkpt, ResumedEngineMatchesContinuousRun) {
+  // An in-memory snapshot installed into a FRESH engine (initialised with
+  // other weights on purpose) continues the run bit-identically.
+  const auto mcfg = tiny_config();
+  data::SyntheticCorpus corpus(mcfg.vocab, 50);
+  core::EngineConfig cfg;
+  cfg.window = 2;
+  nn::GptModel m1(mcfg), m2(mcfg);
+  core::StrongholdEngine cont(m1, cfg), resumed(m2, cfg);
+  cont.init_params(42);
+  resumed.init_params(0);
+  for (int i = 0; i < 3; ++i) {
+    cont.train_step(corpus.next_batch(2, mcfg.max_seq));
+  }
+  resumed.restore_snapshot(cont.capture_snapshot());
+  EXPECT_EQ(resumed.stats().iterations, 3u);
+  for (int i = 3; i < 6; ++i) {
+    const auto b = corpus.next_batch(2, mcfg.max_seq);
+    EXPECT_EQ(resumed.train_step(b), cont.train_step(b)) << "step " << i;
+  }
+  std::vector<float> cont_params, resumed_params;
+  cont.snapshot_params(cont_params);
+  resumed.snapshot_params(resumed_params);
+  sh::testing::expect_allclose(resumed_params, cont_params, 0.0f, 0.0f);
+}
+
+TEST(EngineCkpt, RestoreMidTrainingRefreshesResidentLayers) {
+  // Rewinding a live engine while blocks sit in the working window must
+  // refresh their device copies (re-encoded for bf16/f16 slots, f16-rounded
+  // pinned copies) — otherwise the replayed step computes on stale weights.
+  const auto mcfg = tiny_config();
+  data::SyntheticCorpus corpus(mcfg.vocab, 51);
+  const auto b0 = corpus.next_batch(2, mcfg.max_seq);
+  const auto b1 = corpus.next_batch(2, mcfg.max_seq);
+  for (auto dtype :
+       {tensor::DType::f32, tensor::DType::bf16, tensor::DType::f16}) {
+    nn::GptModel model(mcfg);
+    core::EngineConfig cfg;
+    cfg.window = 2;
+    cfg.window_dtype = dtype;
+    core::StrongholdEngine engine(model, cfg);
+    engine.init_params(7);
+    const Snapshot s0 = engine.capture_snapshot();
+    const float loss_fresh = engine.train_step(b0);
+    (void)engine.train_step(b1);  // drift away from S0
+    engine.restore_snapshot(s0);  // rewind while layers are resident
+    EXPECT_EQ(engine.train_step(b0), loss_fresh)
+        << "inexact rewind, window dtype " << tensor::dtype_name(dtype);
+  }
 }
 
 TEST(EngineCkpt, ResumeFromLatestReturnsFalseOnEmptyDirectory) {
@@ -589,6 +642,42 @@ TEST(EngineCkpt, GeometryMismatchIsTyped) {
   } catch (const RestoreError& e) {
     EXPECT_EQ(e.kind(), RestoreErrorKind::GeometryMismatch);
   }
+}
+
+TEST(EngineCkpt, LossScalingMismatchIsTyped) {
+  // An f16 window's snapshot carries loss-scaler state that an f32 or bf16
+  // window has no use for (and the reverse), so the geometry's fp16 flag
+  // rejects the restore in both directions; bf16 and f32 windows share one
+  // geometry because the masters are FP32 either way.
+  const auto mcfg = tiny_config();
+  auto engine_with = [&](nn::GptModel& model, tensor::DType dtype) {
+    core::EngineConfig cfg;
+    cfg.window = 2;
+    cfg.window_dtype = dtype;
+    auto engine = std::make_unique<core::StrongholdEngine>(model, cfg);
+    engine->init_params(1);
+    return engine;
+  };
+  auto expect_mismatch = [&](tensor::DType from, tensor::DType to) {
+    nn::GptModel m1(mcfg), m2(mcfg);
+    const ckpt::Snapshot snap = engine_with(m1, from)->capture_snapshot();
+    auto target = engine_with(m2, to);
+    try {
+      target->restore_snapshot(snap);
+      FAIL() << "expected RestoreError restoring " << tensor::dtype_name(from)
+             << " into " << tensor::dtype_name(to);
+    } catch (const RestoreError& e) {
+      EXPECT_EQ(e.kind(), RestoreErrorKind::GeometryMismatch);
+    }
+  };
+  expect_mismatch(tensor::DType::f16, tensor::DType::f32);
+  expect_mismatch(tensor::DType::f16, tensor::DType::bf16);
+  expect_mismatch(tensor::DType::f32, tensor::DType::f16);
+
+  nn::GptModel m1(mcfg), m2(mcfg);
+  const ckpt::Snapshot snap =
+      engine_with(m1, tensor::DType::bf16)->capture_snapshot();
+  EXPECT_NO_THROW(engine_with(m2, tensor::DType::f32)->restore_snapshot(snap));
 }
 
 TEST(EngineCkpt, EnvEnablesCheckpointingWithoutConfig) {

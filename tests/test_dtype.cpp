@@ -1,4 +1,4 @@
-// BF16 <-> FP32 conversion kernels and the dtype-tagged StorageView.
+// BF16/F16 <-> FP32 conversion kernels and the dtype-tagged StorageView.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,6 +19,7 @@ std::uint32_t to_bits(float v) { return std::bit_cast<std::uint32_t>(v); }
 TEST(Dtype, BytesPerElement) {
   EXPECT_EQ(bytes_per_element(DType::f32), 4u);
   EXPECT_EQ(bytes_per_element(DType::bf16), 2u);
+  EXPECT_EQ(bytes_per_element(DType::f16), 2u);
 }
 
 TEST(Dtype, ParseDtypeAcceptsAliases) {
@@ -27,7 +28,10 @@ TEST(Dtype, ParseDtypeAcceptsAliases) {
   EXPECT_EQ(parse_dtype("float32"), DType::f32);
   EXPECT_EQ(parse_dtype("bf16"), DType::bf16);
   EXPECT_EQ(parse_dtype("BFloat16"), DType::bf16);
-  EXPECT_THROW(parse_dtype("fp16"), std::invalid_argument);
+  EXPECT_EQ(parse_dtype("fp16"), DType::f16);
+  EXPECT_EQ(parse_dtype("f16"), DType::f16);
+  EXPECT_EQ(parse_dtype("Half"), DType::f16);
+  EXPECT_STREQ(dtype_name(DType::f16), "f16");
   EXPECT_THROW(parse_dtype(""), std::invalid_argument);
 }
 
@@ -108,6 +112,107 @@ TEST(Bf16, QuantizeInplaceMatchesRoundTrip) {
   }
 }
 
+TEST(F16, RepresentableValuesRoundTripExactly) {
+  for (float v : {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, 2.0f, -2.0f, 1024.0f, 0.25f,
+                  -0.125f, 65504.0f, 1.5f, 3.140625f}) {
+    EXPECT_EQ(f16_to_float(float_to_f16(v)), v) << v;
+  }
+}
+
+TEST(F16, KnownBitPatterns) {
+  EXPECT_EQ(float_to_f16(0.0f), 0x0000);
+  EXPECT_EQ(float_to_f16(-0.0f), 0x8000);
+  EXPECT_EQ(float_to_f16(1.0f), 0x3C00);
+  EXPECT_EQ(float_to_f16(-1.0f), 0xBC00);
+  EXPECT_EQ(float_to_f16(2.0f), 0x4000);
+  EXPECT_EQ(float_to_f16(65504.0f), 0x7BFF);  // max finite
+  EXPECT_EQ(f16_to_float(0x3C00), 1.0f);
+  EXPECT_EQ(f16_to_float(0x7C00), std::numeric_limits<float>::infinity());
+}
+
+TEST(F16, RoundTripIsIdempotent) {
+  // One rounding is idempotent and within 2^-11 relative error.
+  Rng rng(5);
+  std::vector<float> vals(2000);
+  rng.fill_normal(vals, 10.0f);
+  for (float v : vals) {
+    const float once = f16_to_float(float_to_f16(v));
+    EXPECT_EQ(f16_to_float(float_to_f16(once)), once);
+    if (std::abs(v) > 1e-4f) {
+      EXPECT_LE(std::abs(once - v), std::abs(v) * 0.0005f);
+    }
+  }
+}
+
+TEST(F16, RoundsToNearestEvenOnTies) {
+  // 1 + 2^-11 is exactly halfway between 1.0 and the next f16 value
+  // (1 + 2^-10); ties go to even (1.0, whose mantissa LSB is 0).
+  const float halfway = 1.0f + std::ldexp(1.0f, -11);
+  EXPECT_EQ(f16_to_float(float_to_f16(halfway)), 1.0f);
+  // Just above halfway rounds up.
+  const float above = halfway + std::ldexp(1.0f, -20);
+  EXPECT_EQ(f16_to_float(float_to_f16(above)), 1.0f + std::ldexp(1.0f, -10));
+  // 1 + 3*2^-11 is halfway between 1+2^-10 (odd mantissa) and 1+2^-9: even
+  // is the upper value.
+  const float halfway2 = 1.0f + 3.0f * std::ldexp(1.0f, -11);
+  EXPECT_EQ(f16_to_float(float_to_f16(halfway2)), 1.0f + std::ldexp(1.0f, -9));
+}
+
+TEST(F16, OverflowBecomesInfinity) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(f16_to_float(float_to_f16(65536.0f)), inf);
+  EXPECT_EQ(f16_to_float(float_to_f16(-1e9f)), -inf);
+  EXPECT_EQ(float_to_f16(65536.0f), 0x7C00);
+  EXPECT_EQ(float_to_f16(-1e9f), 0xFC00);
+}
+
+TEST(F16, InfinityPassesThrough) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(float_to_f16(inf), 0x7C00);
+  EXPECT_EQ(float_to_f16(-inf), 0xFC00);
+  EXPECT_EQ(f16_to_float(float_to_f16(inf)), inf);
+  EXPECT_EQ(f16_to_float(float_to_f16(-inf)), -inf);
+}
+
+TEST(F16, NanStaysNanWithSign) {
+  EXPECT_TRUE(std::isnan(f16_to_float(
+      float_to_f16(std::numeric_limits<float>::quiet_NaN()))));
+  // A payload living only in the low mantissa bits must not collapse to
+  // infinity: the quiet bit is forced on.
+  EXPECT_TRUE(std::isnan(f16_to_float(float_to_f16(from_bits(0x7F800001u)))));
+  const float neg = f16_to_float(float_to_f16(from_bits(0xFF800001u)));
+  EXPECT_TRUE(std::isnan(neg));
+  EXPECT_TRUE(std::signbit(neg));
+}
+
+TEST(F16, SubnormalsRoundTrip) {
+  // Smallest positive f16 subnormal: 2^-24.
+  const float tiny = std::ldexp(1.0f, -24);
+  EXPECT_EQ(f16_to_float(float_to_f16(tiny)), tiny);
+  EXPECT_EQ(float_to_f16(tiny), 0x0001);
+  // Largest subnormal: (1023/1024) * 2^-14.
+  const float big_sub = 1023.0f / 1024.0f * std::ldexp(1.0f, -14);
+  EXPECT_EQ(f16_to_float(float_to_f16(big_sub)), big_sub);
+  // Below half the smallest subnormal: flush to zero.
+  EXPECT_EQ(f16_to_float(float_to_f16(std::ldexp(1.0f, -26))), 0.0f);
+}
+
+TEST(F16, BulkConversionsMatchScalar) {
+  Rng rng(6);
+  std::vector<float> src(257);
+  rng.fill_uniform(src, 100.0f);
+  std::vector<f16> h(src.size());
+  std::vector<float> back(src.size());
+  convert_float_to_f16(src.data(), h.data(), src.size());
+  convert_f16_to_float(h.data(), back.data(), src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(back[i], f16_to_float(float_to_f16(src[i])));
+  }
+  std::vector<float> inplace = src;
+  quantize_f16_inplace(inplace.data(), inplace.size());
+  EXPECT_EQ(inplace, back);
+}
+
 TEST(Bf16Stochastic, DeterministicUnderFixedSeed) {
   Rng rng_a(42), rng_b(42), rng_c(43);
   std::vector<float> vals(512);
@@ -175,6 +280,13 @@ TEST(StorageView, TypedAccessorsEnforceDtype) {
   EXPECT_EQ(bv.b16(), b);
   EXPECT_THROW(bv.f32(), std::logic_error);
   EXPECT_FALSE(StorageView().defined());
+
+  f16 h[4] = {};
+  StorageView hv(h, DType::f16, 4);
+  EXPECT_EQ(hv.size_bytes(), 8u);
+  EXPECT_EQ(hv.bytes(), reinterpret_cast<std::byte*>(h));
+  EXPECT_THROW(hv.f32(), std::logic_error);
+  EXPECT_THROW(hv.b16(), std::logic_error);
 }
 
 TEST(StorageView, LoadStoreRoundsThroughTheEncoding) {
@@ -190,6 +302,35 @@ TEST(StorageView, LoadStoreRoundsThroughTheEncoding) {
   const float odd = from_bits(0x3F808001u);
   fview.store(0, odd);
   EXPECT_EQ(fview.load(0), odd);  // f32 stores are exact
+
+  f16 h[2] = {};
+  StorageView hview(h, DType::f16, 2);
+  hview.store(0, 1.0f + std::ldexp(1.0f, -11));  // tie: rounds to even 1.0
+  hview.store(1, 65536.0f);                      // overflows to infinity
+  EXPECT_EQ(h[0], 0x3C00);
+  EXPECT_EQ(hview.load(0), 1.0f);
+  EXPECT_EQ(hview.load(1), std::numeric_limits<float>::infinity());
+}
+
+TEST(StorageView, NonFiniteDetection) {
+  // The f16 overflow verdict: finite f32 values past 65504 are non-finite
+  // once encoded.
+  const std::vector<float> ok = {1.0f, -2.0f, 100.0f};
+  const std::vector<float> overflow = {1.0f, 1e6f};
+  const std::vector<float> nan = {std::numeric_limits<float>::quiet_NaN()};
+  auto encoded = [](const std::vector<float>& src, DType dtype) {
+    std::vector<float> storage(src.size());  // room for any encoding
+    StorageView view(storage.data(), dtype, src.size());
+    view.encode(src.data(), src.size());
+    return view.has_non_finite();
+  };
+  for (DType dt : {DType::f32, DType::bf16, DType::f16}) {
+    EXPECT_FALSE(encoded(ok, dt)) << dtype_name(dt);
+    EXPECT_TRUE(encoded(nan, dt)) << dtype_name(dt);
+  }
+  EXPECT_TRUE(encoded(overflow, DType::f16));
+  EXPECT_FALSE(encoded(overflow, DType::bf16));  // bf16 keeps f32's range
+  EXPECT_FALSE(encoded(overflow, DType::f32));
 }
 
 TEST(StorageView, BulkEncodeDecodeAndSubview) {
@@ -220,6 +361,19 @@ TEST(StorageView, BulkEncodeDecodeAndSubview) {
   v1.encode(src.data(), 64, Rounding::stochastic, ra);
   v2.encode(src.data(), 64, Rounding::stochastic, rb);
   EXPECT_EQ(s1, s2);
+
+  // f16 views encode/decode through the f16 codec, at any offset; a
+  // stochastic request on an f16 view rounds to nearest even.
+  std::vector<f16> hs(64);
+  StorageView hview(hs.data(), DType::f16, 64);
+  hview.encode(src.data(), 32);
+  hview.subview(32, 32).encode(src.data() + 32, 32, Rounding::stochastic, ra);
+  std::vector<float> hout(64);
+  hview.decode(hout.data(), 64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(hs[i], float_to_f16(src[i]));
+    EXPECT_EQ(hout[i], f16_to_float(float_to_f16(src[i])));
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Mixed-precision training: loss scaler dynamics, engine/oracle equivalence
-// with FP16 wire format, overflow skipping, and convergence.
+// with an f16 working window, overflow skipping, and convergence.
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
 #include "core/loss_scaler.hpp"
 #include "core/monolithic.hpp"
 #include "data/synthetic.hpp"
+#include "obs/metrics.hpp"
+#include "tensor/dtype.hpp"
 #include "testing/util.hpp"
 
 namespace sh::core {
@@ -73,7 +75,7 @@ TEST(Fp16Engine, MatchesFp16MonolithicBitwise) {
   nn::GptModel model(mcfg);
   EngineConfig ecfg;
   ecfg.window = 2;
-  ecfg.fp16 = true;
+  ecfg.window_dtype = tensor::DType::f16;
   ecfg.loss_scaler.initial_scale = 128.0f;
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
@@ -107,7 +109,7 @@ TEST(Fp16Engine, Fp16WithClippingMatchesOracle) {
   nn::GptModel model(mcfg);
   EngineConfig ecfg;
   ecfg.window = 1;
-  ecfg.fp16 = true;
+  ecfg.window_dtype = tensor::DType::f16;
   ecfg.clip_grad_norm = 0.05f;
   ecfg.loss_scaler.initial_scale = 64.0f;
   StrongholdEngine engine(model, ecfg);
@@ -125,8 +127,8 @@ TEST(Fp16Engine, OverflowSkipsStepAndBacksOff) {
   nn::GptModel model(mcfg);
   EngineConfig ecfg;
   ecfg.window = 2;
-  ecfg.fp16 = true;
-  // A loss scale beyond fp16 range guarantees overflow on the first step.
+  ecfg.window_dtype = tensor::DType::f16;
+  // A loss scale beyond f16 range guarantees overflow on the first step.
   ecfg.loss_scaler.initial_scale = 65536.0f * 32;
   StrongholdEngine engine(model, ecfg);
   engine.init_params(7);
@@ -148,7 +150,7 @@ TEST(Fp16Engine, TrainingConvergesInMixedPrecision) {
   nn::GptModel model(mcfg);
   EngineConfig ecfg;
   ecfg.window = 2;
-  ecfg.fp16 = true;
+  ecfg.window_dtype = tensor::DType::f16;
   ecfg.adam.lr = 3e-3f;
   ecfg.loss_scaler.initial_scale = 256.0f;
   StrongholdEngine engine(model, ecfg);
@@ -178,7 +180,7 @@ TEST(Fp16Engine, CloseToFp32Training) {
     nn::GptModel model(mcfg);
     EngineConfig ecfg;
     ecfg.window = 2;
-    ecfg.fp16 = fp16;
+    ecfg.window_dtype = fp16 ? tensor::DType::f16 : tensor::DType::f32;
     ecfg.loss_scaler.initial_scale = 128.0f;
     StrongholdEngine engine(model, ecfg);
     engine.init_params(42);
@@ -196,21 +198,41 @@ TEST(Fp16Engine, HalvedTransferBytesReported) {
     nn::GptModel model(mcfg);
     EngineConfig ecfg;
     ecfg.window = 1;
-    ecfg.fp16 = fp16;
+    ecfg.window_dtype = fp16 ? tensor::DType::f16 : tensor::DType::f32;
     StrongholdEngine engine(model, ecfg);
     engine.init_params(1);
     engine.train_step(corpus.next_batch(2, mcfg.max_seq));
     std::vector<float> scratch;
     engine.snapshot_params(scratch);  // quiesce
     const auto s = engine.stats();
-    return std::pair{s.h2d_bytes, s.d2h_bytes};
+    obs::MetricsSnapshot snap;
+    engine.export_metrics(snap);
+    const auto* elem = snap.find("engine.window_elem_bytes");
+    return std::tuple{s.h2d_bytes, s.d2h_bytes,
+                      s.arena.regions.at("window").peak_bytes,
+                      elem != nullptr ? elem->value : 0.0};
   };
-  const auto [h16, d16] = bytes_for(true);
-  const auto [h32, d32] = bytes_for(false);
+  const auto [h16, d16, w16, e16] = bytes_for(true);
+  const auto [h32, d32, w32, e32] = bytes_for(false);
   // Same transfer schedule; FP16 moves exactly half the wire bytes.
   EXPECT_EQ(2 * h16, h32);
   EXPECT_EQ(2 * d16, d32);
   EXPECT_GT(h16, 0u);
+  // f16 slots store 2-byte elements and are charged so to the arena.
+  EXPECT_EQ(e16, 2.0);
+  EXPECT_EQ(e32, 4.0);
+  EXPECT_LT(w16, w32);
+}
+
+TEST(Fp16Engine, RejectsStochasticRounding) {
+  // f16 has only a round-to-nearest-even codec.
+  const auto mcfg = tiny_config();
+  nn::GptModel model(mcfg);
+  EngineConfig ecfg;
+  ecfg.window = 2;
+  ecfg.window_dtype = tensor::DType::f16;
+  ecfg.window_rounding = tensor::Rounding::stochastic;
+  EXPECT_THROW(StrongholdEngine(model, ecfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -301,16 +301,72 @@ TEST(Export, DumpChromeTraceWritesParseableFile) {
   std::remove(path.c_str());
 }
 
-TEST(EndToEnd, InstrumentedEngineRecordsSpansAndMetrics) {
-  GlobalObsGuard guard;
-  Recorder::global().set_enabled(true);
-
+nn::GptConfig tiny_engine_config() {
   nn::GptConfig mcfg;
   mcfg.vocab = 32;
   mcfg.max_seq = 8;
   mcfg.hidden = 16;
   mcfg.heads = 2;
   mcfg.layers = 4;
+  return mcfg;
+}
+
+TEST(EngineTrace, RecordsOverlappingResources) {
+  GlobalObsGuard guard;
+  Recorder::global().set_enabled(true);
+  const auto mcfg = tiny_engine_config();
+  nn::GptModel model(mcfg);
+  core::EngineConfig cfg;
+  cfg.window = 1;
+  cfg.h2d_bytes_per_s = 8e6;  // slow enough for visible spans
+  cfg.d2h_bytes_per_s = 8e6;
+  core::StrongholdEngine engine(model, cfg);
+  engine.init_params(3);
+  data::SyntheticCorpus corpus(mcfg.vocab, 4);
+  for (int i = 0; i < 2; ++i) engine.train_step(corpus.next_batch(2, mcfg.max_seq));
+  std::vector<float> scratch;
+  engine.snapshot_params(scratch);  // quiesces in-flight background work
+
+  const sim::Trace trace = to_sim_trace(Recorder::global().snapshot());
+  bool has_gpu = false, has_h2d = false, has_d2h = false, has_opt = false;
+  for (const auto& s : trace.spans()) {
+    has_gpu |= s.resource == "gpu";
+    has_h2d |= s.resource == "h2d";
+    has_d2h |= s.resource == "d2h";
+    has_opt |= s.resource == "cpu-opt";
+    EXPECT_GE(s.interval.duration(), 0.0);
+  }
+  EXPECT_TRUE(has_gpu);
+  EXPECT_TRUE(has_h2d);
+  EXPECT_TRUE(has_d2h);
+  EXPECT_TRUE(has_opt);
+  // Real asynchrony: some transfer time overlaps compute.
+  EXPECT_GT(trace.overlap_fraction("h2d", "gpu") +
+                trace.overlap_fraction("d2h", "gpu"),
+            0.0);
+}
+
+TEST(EngineTrace, DisabledByDefault) {
+  // Without an enabled recorder, a training step leaves no spans behind.
+  GlobalObsGuard guard;
+  const auto mcfg = tiny_engine_config();
+  nn::GptModel model(mcfg);
+  core::EngineConfig cfg;
+  cfg.window = 2;
+  core::StrongholdEngine engine(model, cfg);
+  engine.init_params(1);
+  data::SyntheticCorpus corpus(mcfg.vocab, 1);
+  engine.train_step(corpus.next_batch(2, mcfg.max_seq));
+  std::vector<float> scratch;
+  engine.snapshot_params(scratch);
+  EXPECT_TRUE(Recorder::global().snapshot().empty());
+}
+
+TEST(EndToEnd, InstrumentedEngineRecordsSpansAndMetrics) {
+  GlobalObsGuard guard;
+  Recorder::global().set_enabled(true);
+
+  const auto mcfg = tiny_engine_config();
   nn::GptModel model(mcfg);
 
   const std::size_t base_providers = Registry::global().provider_count();
@@ -318,7 +374,6 @@ TEST(EndToEnd, InstrumentedEngineRecordsSpansAndMetrics) {
   {
     core::EngineConfig ecfg;
     ecfg.window = 1;
-    ecfg.record_trace = true;  // sim trace and obs recorder coexist
     core::StrongholdEngine engine(model, ecfg);
     engine.init_params(3);
     EXPECT_EQ(Registry::global().provider_count(), base_providers + 1);
@@ -340,8 +395,8 @@ TEST(EndToEnd, InstrumentedEngineRecordsSpansAndMetrics) {
     ASSERT_NE(snap.find("arena.window.peak_bytes"), nullptr);
     EXPECT_GT(snap.find("arena.window.peak_bytes")->value, 0.0);
 
-    // The wall-clock stream carries the same schedule the engine's own sim
-    // trace records, on matching tracks.
+    // The wall-clock stream carries the engine's schedule on the Fig. 4
+    // resource tracks.
     const auto wall = Recorder::global().snapshot();
     std::set<std::string> tracks;
     for (const auto& s : wall) tracks.insert(s.track);
@@ -350,7 +405,6 @@ TEST(EndToEnd, InstrumentedEngineRecordsSpansAndMetrics) {
     EXPECT_TRUE(tracks.count("h2d"));
     EXPECT_TRUE(tracks.count("d2h"));
     EXPECT_TRUE(tracks.count("cpu-opt"));
-    EXPECT_FALSE(engine.trace_snapshot().spans().empty());
 
     // Fig. 4 metrics apply to the real timeline.
     const sim::Trace real = to_sim_trace(wall);
