@@ -1,8 +1,8 @@
 // Kernel-substrate bench: blocked/packed GEMM (tensor/gemm.cpp) vs the
-// seed's naive row-streaming matmul (matmul_ref) on the GEMM shapes the GPT
-// blocks actually produce, plus fused-epilogue savings and genuine
-// before/after end-to-end train_step time (the reference kernel is swapped
-// in at runtime via set_use_reference_gemm).
+// seed's naive row-streaming matmul (the matmul_ref test oracle) on the GEMM
+// shapes the GPT blocks actually produce, fused-epilogue savings, the fused
+// attention layer vs the materialised-probs attention oracle, and the
+// production end-to-end train_step time.
 //
 // Prints a fixed-width table and writes BENCH_kernels.json so the perf
 // trajectory is tracked per-PR (CI runs `bench_kernels --smoke` and uploads
@@ -22,11 +22,11 @@
 #include "mem/device_arena.hpp"
 #include "nn/attention.hpp"
 #include "nn/gpt.hpp"
-#include "tensor/attention_kernel.hpp"
 #include "tensor/dtype.hpp"
-#include "tensor/matmul_ref.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
+#include "testing/attention_ref.hpp"
+#include "testing/matmul_ref.hpp"
 
 namespace {
 
@@ -79,8 +79,8 @@ GemmRow run_gemm_shape(const GemmShape& s, double budget_s) {
   const double flops = 2.0 * s.m * s.n * s.k;
   GemmRow row{s, 0.0, 0.0};
   const double t_ref = time_best(budget_s, [&] {
-    sh::tensor::matmul_ref(a.data(), b.data(), c.data(), s.m, s.n, s.k, s.ta,
-                           s.tb);
+    sh::testing::matmul_ref(a.data(), b.data(), c.data(), s.m, s.n, s.k, s.ta,
+                            s.tb);
   });
   const double t_new = time_best(budget_s, [&] {
     sh::tensor::matmul(a.data(), b.data(), c.data(), s.m, s.n, s.k, s.ta,
@@ -131,13 +131,8 @@ FusedRow run_fused(std::int64_t m, std::int64_t n, std::int64_t k,
   return row;
 }
 
-struct StepRow {
-  double ref_ms = 0.0;
-  double blocked_ms = 0.0;
-  double speedup() const { return ref_ms / blocked_ms; }
-};
-
-StepRow run_end_to_end(bool smoke) {
+/// Production engine train_step time (ms per step, after one warm-up round).
+double run_end_to_end(bool smoke) {
   sh::nn::GptConfig mcfg;
   mcfg.vocab = 128;
   mcfg.max_seq = smoke ? 16 : 64;
@@ -157,18 +152,10 @@ StepRow run_end_to_end(bool smoke) {
   auto run_steps = [&] {
     for (int i = 0; i < steps; ++i) engine.train_step(batch);
   };
-  StepRow row;
-  sh::tensor::set_use_reference_gemm(true);
   run_steps();  // warm-up (fills caches, engine warm-up iterations)
-  auto t0 = Clock::now();
+  const auto t0 = Clock::now();
   run_steps();
-  row.ref_ms = 1e3 * seconds_since(t0) / steps;
-  sh::tensor::set_use_reference_gemm(false);
-  run_steps();
-  t0 = Clock::now();
-  run_steps();
-  row.blocked_ms = 1e3 * seconds_since(t0) / steps;
-  return row;
+  return 1e3 * seconds_since(t0) / steps;
 }
 
 struct AttnRow {
@@ -186,13 +173,38 @@ struct AttnRow {
   }
 };
 
-/// One CausalSelfAttention layer, forward + backward, fused tiled kernel vs
-/// the materialised-probs reference, at a given sequence length. Peak
-/// activation bytes come from a DeviceArena soft-charge scope around one
-/// fwd+bwd pass: every owning tensor the layer allocates (QKV, context,
-/// softmax stats / the [seq, seq] probs matrix, grad-QKV) is charged; the
-/// fused kernel's constant per-thread tile scratch deliberately is not —
-/// it is O(1) workspace, which is the point of the fusion.
+/// Peak activation bytes and best fwd+bwd ms of one attention layer. Peak
+/// bytes come from a DeviceArena soft-charge scope around one fwd+bwd pass:
+/// every owning tensor the layer allocates (QKV, context, softmax stats /
+/// the [seq, seq] probs matrix, grad-QKV) is charged; the fused kernel's
+/// constant per-thread tile scratch deliberately is not — it is O(1)
+/// workspace, which is the point of the fusion.
+template <typename Layer>
+void measure_attention(Layer& layer, const sh::tensor::Tensor& x,
+                       const sh::tensor::Tensor& gy,
+                       const sh::nn::BatchShape& shape, double budget_s,
+                       double& ms, std::size_t& act_bytes) {
+  auto step = [&] {
+    layer.forward(x, shape);
+    layer.backward(gy, shape);
+  };
+  {
+    sh::mem::DeviceArena arena("bench_attn", std::size_t{1} << 40);
+    {
+      sh::mem::ScopedTensorCharge charge(arena,
+                                         sh::mem::DeviceArena::kActivations);
+      step();
+    }
+    act_bytes = arena.stats()
+                    .regions.at(sh::mem::DeviceArena::kActivations)
+                    .peak_bytes;
+  }
+  ms = 1e3 * time_best(budget_s, step);
+}
+
+/// One CausalSelfAttention layer (fused tiled kernel) vs the
+/// materialised-probs attention oracle bound to the same parameters, at a
+/// given sequence length.
 AttnRow run_attention(std::int64_t seq, std::int64_t hidden,
                       std::int64_t heads, double budget_s) {
   sh::nn::CausalSelfAttention attn("bench.attn", hidden, heads);
@@ -200,6 +212,9 @@ AttnRow run_attention(std::int64_t seq, std::int64_t hidden,
   attn.bind(store.params(), store.grads());
   sh::tensor::Rng rng(5);
   attn.init(rng);
+  sh::testing::AttentionRef oracle(hidden, heads);
+  sh::nn::OwnedStorage ref_store(oracle.param_count());
+  oracle.bind(store.params(), ref_store.grads());
 
   sh::nn::BatchShape shape;
   shape.batch = 1;
@@ -213,47 +228,23 @@ AttnRow run_attention(std::int64_t seq, std::int64_t hidden,
   rng.fill_uniform(
       std::span<float>(gy.data(), static_cast<std::size_t>(gy.numel())), 0.5f);
 
-  auto step = [&] {
-    attn.forward(x, shape);
-    attn.backward(gy, shape);
-  };
-
   AttnRow row;
   row.seq = seq;
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool fused = pass == 1;
-    sh::tensor::set_use_fused_attention(fused);
-    {
-      sh::mem::DeviceArena arena("bench_attn", std::size_t{1} << 40);
-      {
-        sh::mem::ScopedTensorCharge charge(arena,
-                                           sh::mem::DeviceArena::kActivations);
-        step();
-      }
-      const auto stats = arena.stats();
-      const auto bytes =
-          stats.regions.at(sh::mem::DeviceArena::kActivations).peak_bytes;
-      (fused ? row.fused_act_bytes : row.ref_act_bytes) = bytes;
-    }
-    const double ms = 1e3 * time_best(budget_s, step);
-    (fused ? row.fused_ms : row.ref_ms) = ms;
-  }
-  sh::tensor::set_use_fused_attention(true);
+  measure_attention(oracle, x, gy, shape, budget_s, row.ref_ms,
+                    row.ref_act_bytes);
+  measure_attention(attn, x, gy, shape, budget_s, row.fused_ms,
+                    row.fused_act_bytes);
   return row;
 }
 
 struct AttnStepRow {
   std::int64_t seq = 0;
-  double ref_ms = 0.0;
   double fused_ms = 0.0;
-  double speedup() const { return ref_ms / fused_ms; }
-  double ref_tok_s() const { return seq / (ref_ms * 1e-3); }
   double fused_tok_s() const { return seq / (fused_ms * 1e-3); }
 };
 
-/// End-to-end engine train_step at long sequence length, fused attention vs
-/// the reference path (blocked GEMM in both — this isolates the attention
-/// rewrite, unlike run_end_to_end which isolates the GEMM substrate).
+/// End-to-end engine train_step at long sequence length, where attention
+/// dominates (ms per step after one warm-up round).
 AttnStepRow run_attn_train_step(std::int64_t seq, bool smoke) {
   sh::nn::GptConfig mcfg;
   mcfg.vocab = 128;
@@ -276,14 +267,8 @@ AttnStepRow run_attn_train_step(std::int64_t seq, bool smoke) {
   };
   AttnStepRow row;
   row.seq = seq;
-  sh::tensor::set_use_fused_attention(false);
   run_steps();  // warm-up
-  auto t0 = Clock::now();
-  run_steps();
-  row.ref_ms = 1e3 * seconds_since(t0) / steps;
-  sh::tensor::set_use_fused_attention(true);
-  run_steps();
-  t0 = Clock::now();
+  const auto t0 = Clock::now();
   run_steps();
   row.fused_ms = 1e3 * seconds_since(t0) / steps;
   return row;
@@ -405,14 +390,13 @@ int main(int argc, char** argv) {
                  static_cast<long long>(fused.k), fused.unfused_ms,
                  fused.fused_ms, fused.speedup());
 
-  sh::bench::header("end-to-end train_step — reference vs blocked kernels");
-  const StepRow step = run_end_to_end(smoke);
-  sh::bench::row("%-12s %12.2f ms %12.2f ms %8.2fx", "train_step", step.ref_ms,
-                 step.blocked_ms, step.speedup());
+  sh::bench::header("end-to-end train_step — blocked kernels");
+  const double step_ms = run_end_to_end(smoke);
+  sh::bench::row("%-12s %12.2f ms", "train_step", step_ms);
 
-  // Fused tiled attention vs the materialised-probs reference across sequence
+  // Fused tiled attention vs the materialised-probs oracle across sequence
   // lengths: fwd+bwd time, tokens/s, and peak activation bytes. The fused
-  // kernel's activation footprint is O(seq * hidden); the reference carries
+  // kernel's activation footprint is O(seq * hidden); the oracle carries
   // the [seq, seq] probability matrix, O(seq^2).
   sh::bench::header("fused attention — tiled online-softmax vs [S,S] probs");
   sh::bench::row("%6s %10s %10s %8s %12s %12s %8s", "seq", "ref ms",
@@ -436,12 +420,11 @@ int main(int argc, char** argv) {
                    r.fused_act_bytes / (1024.0 * 1024.0), r.act_reduction());
   }
 
-  sh::bench::header("train_step @ long seq — fused vs reference attention");
+  sh::bench::header("train_step @ long seq — fused attention");
   const AttnStepRow astep = run_attn_train_step(smoke ? 256 : 2048, smoke);
-  sh::bench::row("%6lld %10.2f ms %10.2f ms %10.0f tok/s %10.0f tok/s %7.2fx",
-                 static_cast<long long>(astep.seq), astep.ref_ms,
-                 astep.fused_ms, astep.ref_tok_s(), astep.fused_tok_s(),
-                 astep.speedup());
+  sh::bench::row("%6lld %10.2f ms %10.0f tok/s",
+                 static_cast<long long>(astep.seq), astep.fused_ms,
+                 astep.fused_tok_s());
 
   // BF16 window substrate: conversion-kernel bandwidth and the layer
   // fault-in round-trip the engine pays per window fill.
@@ -487,10 +470,7 @@ int main(int argc, char** argv) {
                  static_cast<long long>(fused.n),
                  static_cast<long long>(fused.k), fused.unfused_ms,
                  fused.fused_ms, fused.speedup());
-    std::fprintf(f,
-                 "  \"train_step\": {\"ref_ms\": %.3f, \"blocked_ms\": %.3f, "
-                 "\"speedup\": %.3f},\n",
-                 step.ref_ms, step.blocked_ms, step.speedup());
+    std::fprintf(f, "  \"end_to_end\": {\"blocked_ms\": %.3f},\n", step_ms);
     std::fprintf(f, "  \"attention\": [\n");
     for (std::size_t i = 0; i < attn_rows.size(); ++i) {
       const auto& r = attn_rows[i];
@@ -509,12 +489,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
-                 "  \"attn_train_step\": {\"seq\": %lld, \"ref_ms\": %.3f, "
-                 "\"fused_ms\": %.3f, \"ref_tokens_per_s\": %.1f, "
-                 "\"fused_tokens_per_s\": %.1f, \"speedup\": %.3f},\n",
-                 static_cast<long long>(astep.seq), astep.ref_ms,
-                 astep.fused_ms, astep.ref_tok_s(), astep.fused_tok_s(),
-                 astep.speedup());
+                 "  \"attn_train_step\": {\"seq\": %lld, \"fused_ms\": %.3f, "
+                 "\"fused_tokens_per_s\": %.1f},\n",
+                 static_cast<long long>(astep.seq), astep.fused_ms,
+                 astep.fused_tok_s());
     std::fprintf(f,
                  "  \"dtype_convert\": {\"numel\": %zu, "
                  "\"encode_rne_gbps\": %.2f, \"encode_stochastic_gbps\": "

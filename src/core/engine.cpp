@@ -1178,6 +1178,7 @@ tensor::Tensor StrongholdEngine::decode_step(Decoder& decoder,
   if (decoder.pos_ + n_new > decoder.capacity_) {
     throw std::out_of_range("decode_step: decoder capacity exceeded");
   }
+  nn::check_token_ids(ids, model_.config().vocab, "decode_step");
   const std::size_t blocks = num_blocks();
   const nn::BatchShape shape{decoder.batch_, n_new, /*training=*/false,
                              /*step=*/0, /*row_offset=*/0,
@@ -1226,32 +1227,6 @@ std::vector<std::int32_t> StrongholdEngine::generate_incremental(
     const std::int32_t cur = next;
     logits = dec.step({&cur, 1}, 1);
     next = pick_last(logits, 1);
-  }
-  return tokens;
-}
-
-std::vector<std::int32_t> StrongholdEngine::generate(
-    std::span<const std::int32_t> prompt, std::size_t new_tokens) {
-  if (prompt.empty()) {
-    throw std::invalid_argument("generate: prompt must not be empty");
-  }
-  const std::int64_t seq = model_.config().max_seq;
-  std::vector<std::int32_t> tokens(prompt.begin(), prompt.end());
-  for (std::size_t i = 0; i < new_tokens; ++i) {
-    // Context: the last `seq` tokens, left-padded by repeating the first
-    // token when the prompt is shorter than the model context.
-    std::vector<std::int32_t> ctx(static_cast<std::size_t>(seq), tokens.front());
-    const std::size_t have = std::min<std::size_t>(tokens.size(),
-                                                   static_cast<std::size_t>(seq));
-    std::copy(tokens.end() - static_cast<std::ptrdiff_t>(have), tokens.end(),
-              ctx.end() - static_cast<std::ptrdiff_t>(have));
-    auto logits = inference(ctx, {1, seq});
-    // Greedy pick at the last position.
-    const std::int64_t classes = logits.shape().dim(1);
-    const float* last = logits.data() + (seq - 1) * classes;
-    const auto next = static_cast<std::int32_t>(
-        std::max_element(last, last + classes) - last);
-    tokens.push_back(next);
   }
   return tokens;
 }

@@ -253,12 +253,6 @@ class StrongholdEngine {
   using LayerVisitor = std::function<void(std::size_t unit, nn::Layer& layer)>;
   void stream_layers(const LayerVisitor& visit);
 
-  /// Greedy autoregressive generation: extends `prompt` by `new_tokens`
-  /// tokens using repeated FP-only passes through the working window. The
-  /// context is the last max_seq tokens.
-  std::vector<std::int32_t> generate(std::span<const std::int32_t> prompt,
-                                     std::size_t new_tokens);
-
   /// Incremental decoding session: per-layer KV caches stay on the "GPU"
   /// while layer parameters stream through the working window, so each step
   /// costs O(new tokens) attention instead of a full-context recompute.

@@ -2,39 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "tensor/attention_kernel.hpp"
-#include "tensor/ops.hpp"
 
 namespace sh::nn {
-
-namespace {
-/// Copies a [seq, head_dim] head slice out of [tokens, stride] storage.
-/// (Reference path only — the fused kernel packs head planes in place.)
-void gather_head(const float* src, float* dst, std::int64_t base_row,
-                 std::int64_t seq, std::int64_t col0, std::int64_t head_dim,
-                 std::int64_t stride) {
-  for (std::int64_t t = 0; t < seq; ++t) {
-    const float* s = src + (base_row + t) * stride + col0;
-    std::copy_n(s, head_dim, dst + t * head_dim);
-  }
-}
-
-/// Adds a [seq, head_dim] head slice back into [tokens, stride] storage.
-void scatter_head_add(const float* src, float* dst, std::int64_t base_row,
-                      std::int64_t seq, std::int64_t col0,
-                      std::int64_t head_dim, std::int64_t stride) {
-  for (std::int64_t t = 0; t < seq; ++t) {
-    float* d = dst + (base_row + t) * stride + col0;
-    const float* s = src + t * head_dim;
-    for (std::int64_t c = 0; c < head_dim; ++c) d[c] += s[c];
-  }
-}
-}  // namespace
 
 CausalSelfAttention::CausalSelfAttention(std::string name, std::int64_t hidden,
                                          std::int64_t heads)
@@ -70,61 +43,24 @@ tensor::Tensor CausalSelfAttention::forward(const tensor::Tensor& x,
   cached_qkv_ = qkv_.forward(x, shape);
   const std::int64_t stride = 3 * hidden_;
 
-  if (tensor::use_fused_attention()) {
-    // One-pass tiled kernel straight over the strided QKV head planes — no
-    // gather copies, no [seq, seq] probability tensor. Only the context and
-    // the per-row (max, normaliser) stats are kept for the backward.
-    auto ctx = tensor::Tensor::zeros({tokens, hidden_});
-    cached_stats_ = tensor::Tensor::zeros({2, bs * heads_ * seq});
-    cached_probs_ = tensor::Tensor();
-    const tensor::AttnPlanes qpl{cached_qkv_.data(), seq * stride, head_dim_,
-                                 stride};
-    const tensor::AttnPlanes kpl{cached_qkv_.data() + hidden_, seq * stride,
-                                 head_dim_, stride};
-    const tensor::AttnPlanes vpl{cached_qkv_.data() + 2 * hidden_,
-                                 seq * stride, head_dim_, stride};
-    const tensor::AttnPlanesMut opl{ctx.data(), seq * hidden_, head_dim_,
-                                    hidden_};
-    float* row_max = cached_stats_.data();
-    float* row_sum = cached_stats_.data() + bs * heads_ * seq;
-    tensor::attention_forward(qpl, kpl, vpl, opl, row_max, row_sum, bs, heads_,
-                              seq, seq, head_dim_, /*causal_offset=*/0, scale);
-    cached_ctx_ = ctx;
-    return proj_.forward(ctx, shape);
-  }
-
-  cached_probs_ = tensor::Tensor::zeros({bs * heads_ * seq, seq});
-  cached_ctx_ = tensor::Tensor();
-  cached_stats_ = tensor::Tensor();
-  auto ctx = tensor::Tensor::zeros({tokens, hidden_});
-
-  std::vector<float> q(seq * head_dim_), k(seq * head_dim_), v(seq * head_dim_);
-  std::vector<float> c(seq * head_dim_);
-  std::vector<std::int64_t> allowed(static_cast<std::size_t>(seq));
-  for (std::int64_t t = 0; t < seq; ++t) allowed[t] = t;
-
-  for (std::int64_t b = 0; b < bs; ++b) {
-    for (std::int64_t h = 0; h < heads_; ++h) {
-      const std::int64_t col = h * head_dim_;
-      gather_head(cached_qkv_.data(), q.data(), b * seq, seq, col, head_dim_,
-                  stride);
-      gather_head(cached_qkv_.data(), k.data(), b * seq, seq, hidden_ + col,
-                  head_dim_, stride);
-      gather_head(cached_qkv_.data(), v.data(), b * seq, seq, 2 * hidden_ + col,
-                  head_dim_, stride);
-      float* probs = cached_probs_.data() + (b * heads_ + h) * seq * seq;
-      tensor::matmul(q.data(), k.data(), probs, seq, seq, head_dim_,
-                     /*transpose_a=*/false, /*transpose_b=*/true);
-      tensor::causal_softmax_rows(probs, seq, seq, allowed.data(), scale);
-      tensor::matmul(probs, v.data(), c.data(), seq, head_dim_, seq, false,
-                     false);
-      for (std::int64_t t = 0; t < seq; ++t) {
-        std::copy_n(c.data() + t * head_dim_, head_dim_,
-                    ctx.data() + (b * seq + t) * hidden_ + col);
-      }
-    }
-  }
-  return proj_.forward(ctx, shape);
+  // One-pass tiled kernel straight over the strided QKV head planes — no
+  // gather copies, no [seq, seq] probability tensor. Only the context and
+  // the per-row (max, normaliser) stats are kept for the backward.
+  cached_ctx_ = tensor::Tensor::zeros({tokens, hidden_});
+  cached_stats_ = tensor::Tensor::zeros({2, bs * heads_ * seq});
+  const tensor::AttnPlanes qpl{cached_qkv_.data(), seq * stride, head_dim_,
+                               stride};
+  const tensor::AttnPlanes kpl{cached_qkv_.data() + hidden_, seq * stride,
+                               head_dim_, stride};
+  const tensor::AttnPlanes vpl{cached_qkv_.data() + 2 * hidden_, seq * stride,
+                               head_dim_, stride};
+  const tensor::AttnPlanesMut opl{cached_ctx_.data(), seq * hidden_,
+                                  head_dim_, hidden_};
+  float* row_max = cached_stats_.data();
+  float* row_sum = cached_stats_.data() + bs * heads_ * seq;
+  tensor::attention_forward(qpl, kpl, vpl, opl, row_max, row_sum, bs, heads_,
+                            seq, seq, head_dim_, /*causal_offset=*/0, scale);
+  return proj_.forward(cached_ctx_, shape);
 }
 
 tensor::Tensor CausalSelfAttention::forward_incremental(
@@ -167,63 +103,21 @@ tensor::Tensor CausalSelfAttention::forward_incremental(
     }
   }
 
-  if (tensor::use_fused_attention()) {
-    // Same fused kernel as training: queries are the new tokens, keys/values
-    // the cache prefix, causal offset = prefix length. Stats are not needed
-    // (no backward through decode).
-    const tensor::AttnPlanes qpl{qkv.data(), n_new * stride, head_dim_,
-                                 stride};
-    const tensor::AttnPlanes kpl{cache.k.data(),
-                                 heads_ * cache.capacity * head_dim_,
-                                 cache.capacity * head_dim_, head_dim_};
-    const tensor::AttnPlanes vpl{cache.v.data(),
-                                 heads_ * cache.capacity * head_dim_,
-                                 cache.capacity * head_dim_, head_dim_};
-    const tensor::AttnPlanesMut opl{ctx.data(), n_new * hidden_, head_dim_,
-                                    hidden_};
-    tensor::attention_forward(qpl, kpl, vpl, opl, nullptr, nullptr, bs, heads_,
-                              n_new, total, head_dim_, /*causal_offset=*/pos0,
-                              scale);
-    cache.length = total;
-    return proj_.forward(ctx, shape);
-  }
-
-  std::vector<float> scores(static_cast<std::size_t>(total));
-  for (std::int64_t b = 0; b < bs; ++b) {
-    for (std::int64_t h = 0; h < heads_; ++h) {
-      const std::int64_t col = h * head_dim_;
-      const float* kc = cache.k.data() +
-                        ((b * heads_ + h) * cache.capacity) * head_dim_;
-      const float* vc = cache.v.data() +
-                        ((b * heads_ + h) * cache.capacity) * head_dim_;
-      // Attend each new query over the prefix [0, pos0 + t].
-      for (std::int64_t t = 0; t < n_new; ++t) {
-        const float* q = qkv.data() + (b * n_new + t) * stride + col;
-        const std::int64_t lim = pos0 + t;  // inclusive causal limit
-        float mx = -std::numeric_limits<float>::infinity();
-        for (std::int64_t s = 0; s <= lim; ++s) {
-          float acc = 0.0f;
-          const float* krow = kc + s * head_dim_;
-          for (std::int64_t c = 0; c < head_dim_; ++c) acc += q[c] * krow[c];
-          scores[static_cast<std::size_t>(s)] = acc * scale;
-          mx = std::max(mx, scores[static_cast<std::size_t>(s)]);
-        }
-        float sum = 0.0f;
-        for (std::int64_t s = 0; s <= lim; ++s) {
-          auto& v = scores[static_cast<std::size_t>(s)];
-          v = std::exp(v - mx);
-          sum += v;
-        }
-        const float inv = 1.0f / sum;
-        float* out = ctx.data() + (b * n_new + t) * hidden_ + col;
-        for (std::int64_t s = 0; s <= lim; ++s) {
-          const float w = scores[static_cast<std::size_t>(s)] * inv;
-          const float* vrow = vc + s * head_dim_;
-          for (std::int64_t c = 0; c < head_dim_; ++c) out[c] += w * vrow[c];
-        }
-      }
-    }
-  }
+  // Same fused kernel as training: queries are the new tokens, keys/values
+  // the cache prefix, causal offset = prefix length. Stats are not needed
+  // (no backward through decode).
+  const tensor::AttnPlanes qpl{qkv.data(), n_new * stride, head_dim_, stride};
+  const tensor::AttnPlanes kpl{cache.k.data(),
+                               heads_ * cache.capacity * head_dim_,
+                               cache.capacity * head_dim_, head_dim_};
+  const tensor::AttnPlanes vpl{cache.v.data(),
+                               heads_ * cache.capacity * head_dim_,
+                               cache.capacity * head_dim_, head_dim_};
+  const tensor::AttnPlanesMut opl{ctx.data(), n_new * hidden_, head_dim_,
+                                  hidden_};
+  tensor::attention_forward(qpl, kpl, vpl, opl, nullptr, nullptr, bs, heads_,
+                            n_new, total, head_dim_, /*causal_offset=*/pos0,
+                            scale);
   cache.length = total;
   return proj_.forward(ctx, shape);
 }
@@ -239,74 +133,28 @@ tensor::Tensor CausalSelfAttention::backward(const tensor::Tensor& grad_out,
   auto grad_qkv = tensor::Tensor::zeros({tokens, 3 * hidden_});
   const std::int64_t stride = 3 * hidden_;
 
-  if (tensor::use_fused_attention()) {
-    // Tile scores are recomputed from cached Q/K/V plus the saved per-row
-    // stats; dQ/dK/dV land directly in their strided grad-QKV head planes.
-    const tensor::AttnPlanes qpl{cached_qkv_.data(), seq * stride, head_dim_,
-                                 stride};
-    const tensor::AttnPlanes kpl{cached_qkv_.data() + hidden_, seq * stride,
-                                 head_dim_, stride};
-    const tensor::AttnPlanes vpl{cached_qkv_.data() + 2 * hidden_,
-                                 seq * stride, head_dim_, stride};
-    const tensor::AttnPlanes opl{cached_ctx_.data(), seq * hidden_, head_dim_,
-                                 hidden_};
-    const tensor::AttnPlanes gpl{grad_ctx.data(), seq * hidden_, head_dim_,
-                                 hidden_};
-    const tensor::AttnPlanesMut dqpl{grad_qkv.data(), seq * stride, head_dim_,
-                                     stride};
-    const tensor::AttnPlanesMut dkpl{grad_qkv.data() + hidden_, seq * stride,
-                                     head_dim_, stride};
-    const tensor::AttnPlanesMut dvpl{grad_qkv.data() + 2 * hidden_,
-                                     seq * stride, head_dim_, stride};
-    const float* row_max = cached_stats_.data();
-    const float* row_sum = cached_stats_.data() + bs * heads_ * seq;
-    tensor::attention_backward(qpl, kpl, vpl, opl, gpl, row_max, row_sum,
-                               dqpl, dkpl, dvpl, bs, heads_, seq, head_dim_,
-                               scale);
-    return qkv_.backward(grad_qkv, shape);
-  }
-
-  std::vector<float> q(seq * head_dim_), k(seq * head_dim_), v(seq * head_dim_);
-  std::vector<float> gc(seq * head_dim_), gq(seq * head_dim_),
-      gk(seq * head_dim_), gv(seq * head_dim_);
-  std::vector<float> gprobs(seq * seq), gscores(seq * seq);
-
-  for (std::int64_t b = 0; b < bs; ++b) {
-    for (std::int64_t h = 0; h < heads_; ++h) {
-      const std::int64_t col = h * head_dim_;
-      gather_head(cached_qkv_.data(), q.data(), b * seq, seq, col, head_dim_,
-                  stride);
-      gather_head(cached_qkv_.data(), k.data(), b * seq, seq, hidden_ + col,
-                  head_dim_, stride);
-      gather_head(cached_qkv_.data(), v.data(), b * seq, seq, 2 * hidden_ + col,
-                  head_dim_, stride);
-      gather_head(grad_ctx.data(), gc.data(), b * seq, seq, col, head_dim_,
-                  hidden_);
-      const float* probs = cached_probs_.data() + (b * heads_ + h) * seq * seq;
-      // d probs = d ctx @ V^T.
-      tensor::matmul(gc.data(), v.data(), gprobs.data(), seq, seq, head_dim_,
-                     false, true);
-      // d V = probs^T @ d ctx.
-      tensor::matmul(probs, gc.data(), gv.data(), seq, head_dim_, seq,
-                     /*transpose_a=*/true, false);
-      // Softmax backward; masked positions have probs == 0, so their grads
-      // vanish automatically. The 1/sqrt(d) scale folds into the raw scores.
-      tensor::softmax_rows_backward(probs, gprobs.data(), gscores.data(), seq,
-                                    seq);
-      tensor::scale(scale, gscores.data(), seq * seq);
-      // d Q = d scores @ K;  d K = d scores^T @ Q.
-      tensor::matmul(gscores.data(), k.data(), gq.data(), seq, head_dim_, seq,
-                     false, false);
-      tensor::matmul(gscores.data(), q.data(), gk.data(), seq, head_dim_, seq,
-                     /*transpose_a=*/true, false);
-      scatter_head_add(gq.data(), grad_qkv.data(), b * seq, seq, col, head_dim_,
-                       stride);
-      scatter_head_add(gk.data(), grad_qkv.data(), b * seq, seq, hidden_ + col,
-                       head_dim_, stride);
-      scatter_head_add(gv.data(), grad_qkv.data(), b * seq, seq,
-                       2 * hidden_ + col, head_dim_, stride);
-    }
-  }
+  // Tile scores are recomputed from cached Q/K/V plus the saved per-row
+  // stats; dQ/dK/dV land directly in their strided grad-QKV head planes.
+  const tensor::AttnPlanes qpl{cached_qkv_.data(), seq * stride, head_dim_,
+                               stride};
+  const tensor::AttnPlanes kpl{cached_qkv_.data() + hidden_, seq * stride,
+                               head_dim_, stride};
+  const tensor::AttnPlanes vpl{cached_qkv_.data() + 2 * hidden_, seq * stride,
+                               head_dim_, stride};
+  const tensor::AttnPlanes opl{cached_ctx_.data(), seq * hidden_, head_dim_,
+                               hidden_};
+  const tensor::AttnPlanes gpl{grad_ctx.data(), seq * hidden_, head_dim_,
+                               hidden_};
+  const tensor::AttnPlanesMut dqpl{grad_qkv.data(), seq * stride, head_dim_,
+                                   stride};
+  const tensor::AttnPlanesMut dkpl{grad_qkv.data() + hidden_, seq * stride,
+                                   head_dim_, stride};
+  const tensor::AttnPlanesMut dvpl{grad_qkv.data() + 2 * hidden_, seq * stride,
+                                   head_dim_, stride};
+  const float* row_max = cached_stats_.data();
+  const float* row_sum = cached_stats_.data() + bs * heads_ * seq;
+  tensor::attention_backward(qpl, kpl, vpl, opl, gpl, row_max, row_sum, dqpl,
+                             dkpl, dvpl, bs, heads_, seq, head_dim_, scale);
   return qkv_.backward(grad_qkv, shape);
 }
 

@@ -36,14 +36,11 @@ class CausalSelfAttention final : public Layer {
   Linear qkv_;
   Linear proj_;
   tensor::Tensor cached_qkv_;  // [tokens, 3*hidden]
-  // Fused path (default): context output plus per-row online-softmax stats
-  // ([2, batch*heads*seq]: running max, normaliser) — O(seq * hidden) total;
-  // the backward recomputes tile scores from cached_qkv_ + these.
+  // Context output plus per-row online-softmax stats ([2, batch*heads*seq]:
+  // running max, normaliser) — O(seq * hidden) total; the backward
+  // recomputes tile scores from cached_qkv_ + these.
   tensor::Tensor cached_ctx_;    // [tokens, hidden]
   tensor::Tensor cached_stats_;  // [2, batch*heads*seq]
-  // Reference path (set_use_fused_attention(false)): the materialised
-  // probability matrix — O(seq^2) activation bytes.
-  tensor::Tensor cached_probs_;  // [batch*heads*seq, seq]
 };
 
 }  // namespace sh::nn

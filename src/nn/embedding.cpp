@@ -1,12 +1,24 @@
 #include "nn/embedding.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "tensor/dropout.hpp"
 #include "tensor/ops.hpp"
 
 namespace sh::nn {
+
+void check_token_ids(std::span<const std::int32_t> ids, std::int64_t vocab,
+                     const char* who) {
+  for (const std::int32_t id : ids) {
+    if (id < 0 || id >= vocab) {
+      throw std::invalid_argument(std::string(who) + ": token id " +
+                                  std::to_string(id) + " outside [0, " +
+                                  std::to_string(vocab) + ")");
+    }
+  }
+}
 
 Embedding::Embedding(std::string name, std::int64_t vocab, std::int64_t max_seq,
                      std::int64_t hidden, float dropout,

@@ -3,11 +3,19 @@
 // paper) to avoid window-fill latency at iteration start.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/module.hpp"
 
 namespace sh::nn {
+
+/// Throws std::invalid_argument (prefixed with `who`) when any id lies
+/// outside [0, vocab). The gather indexes the token table unchecked, so
+/// entry points that take external prompts validate before any layer
+/// streams.
+void check_token_ids(std::span<const std::int32_t> ids, std::int64_t vocab,
+                     const char* who);
 
 class Embedding final : public Layer {
  public:

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "nn/embedding.hpp"
 #include "obs/obs.hpp"
 
 namespace sh::serve {
@@ -53,6 +54,8 @@ std::uint64_t Scheduler::submit(Request request) {
   if (request.max_new_tokens == 0) {
     throw std::invalid_argument("Scheduler::submit: max_new_tokens == 0");
   }
+  nn::check_token_ids(request.prompt, engine_.model().config().vocab,
+                      "Scheduler::submit");
   const auto total = static_cast<std::int64_t>(request.prompt.size() +
                                                request.max_new_tokens);
   if (total > engine_.model().config().max_seq) {
@@ -101,6 +104,8 @@ void Scheduler::register_prefix(std::span<const std::int32_t> prefix) {
   if (prefix.empty()) {
     throw std::invalid_argument("Scheduler::register_prefix: empty prefix");
   }
+  nn::check_token_ids(prefix, engine_.model().config().vocab,
+                      "Scheduler::register_prefix");
   const auto len = static_cast<std::int64_t>(prefix.size());
   if (len + 1 > engine_.model().config().max_seq) {
     throw std::invalid_argument(

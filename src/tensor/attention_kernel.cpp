@@ -41,8 +41,6 @@ constexpr std::int64_t kKB = kKC;
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-bool g_use_fused_attention = true;
-
 std::int64_t pad_to(std::int64_t x, std::int64_t unit) {
   return (x + unit - 1) / unit * unit;
 }
@@ -85,9 +83,6 @@ void tile_gemm(const float* a, std::int64_t a_row0, bool transpose_a,
 }
 
 }  // namespace
-
-void set_use_fused_attention(bool enabled) { g_use_fused_attention = enabled; }
-bool use_fused_attention() { return g_use_fused_attention; }
 
 void attention_forward(const AttnPlanes& q, const AttnPlanes& k,
                        const AttnPlanes& v, const AttnPlanesMut& out,

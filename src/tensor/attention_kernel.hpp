@@ -22,14 +22,6 @@
 
 namespace sh::tensor {
 
-/// Routes CausalSelfAttention through the original materialised-probs
-/// implementation instead of the fused tiled kernel. Escape hatch for
-/// benches (before/after in one binary) and the fused-vs-reference pinning
-/// tests; same pattern as set_use_reference_gemm. Not thread-safe against
-/// concurrent forward/backward calls.
-void set_use_fused_attention(bool enabled);
-bool use_fused_attention();
-
 /// Strided view of the per-(batch, head) attention planes inside a larger
 /// tensor. Row r of plane (b, h) starts at
 ///   data + b * batch_stride + h * head_stride + r * row_stride

@@ -18,7 +18,6 @@
 
 #include "parallel/parallel_for.hpp"
 #include "tensor/gemm_micro.hpp"
-#include "tensor/matmul_ref.hpp"
 #include "tensor/ops.hpp"
 
 namespace sh::tensor {
@@ -36,8 +35,6 @@ using micro::micro_kernel;
 using micro::pack_a;
 using micro::pack_b;
 using micro::write_tile;
-
-bool g_use_ref_gemm = false;
 
 /// Fused bias epilogue over the finished rows x cols slab of C (row stride
 /// ldc), applied per row panel right after its last KC block while the slab
@@ -120,40 +117,21 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
 
 }  // namespace
 
-void set_use_reference_gemm(bool enabled) { g_use_ref_gemm = enabled; }
-bool use_reference_gemm() { return g_use_ref_gemm; }
-
 void matmul(const float* a, const float* b, float* c, std::int64_t m,
             std::int64_t n, std::int64_t k, bool transpose_a, bool transpose_b,
             float alpha, float beta) {
-  if (g_use_ref_gemm) {
-    matmul_ref(a, b, c, m, n, k, transpose_a, transpose_b, alpha, beta);
-    return;
-  }
   gemm(a, b, c, m, n, k, transpose_a, transpose_b, alpha, beta, nullptr);
 }
 
 void matmul_bias(const float* a, const float* b, const float* bias, float* c,
                  std::int64_t m, std::int64_t n, std::int64_t k,
                  bool transpose_a, bool transpose_b) {
-  if (g_use_ref_gemm) {
-    matmul_ref(a, b, c, m, n, k, transpose_a, transpose_b);
-    add_bias(c, bias, c, m, n);
-    return;
-  }
   gemm(a, b, c, m, n, k, transpose_a, transpose_b, 1.0f, 0.0f, bias);
 }
 
 void matmul_bias_gelu(const float* a, const float* b, const float* bias,
                       float* pre, float* out, std::int64_t m, std::int64_t n,
                       std::int64_t k, bool transpose_a, bool transpose_b) {
-  if (g_use_ref_gemm) {
-    matmul_ref(a, b, out, m, n, k, transpose_a, transpose_b);
-    add_bias(out, bias, out, m, n);
-    if (pre != nullptr) std::copy_n(out, m * n, pre);
-    gelu_forward(out, out, m * n);
-    return;
-  }
   // Bias fused into the GEMM writeback; GELU as one solid sweep afterwards
   // (2 passes over the activation instead of the unfused 3). gelu_forward is
   // the same code the unfused composition runs, so fused == unfused exactly.

@@ -113,48 +113,6 @@ void softmax_rows(const float* in, float* out, std::int64_t rows,
       });
 }
 
-void softmax_rows_backward(const float* y, const float* grad_out,
-                           float* grad_in, std::int64_t rows,
-                           std::int64_t cols) {
-  sh::parallel::parallel_for(
-      0, static_cast<std::size_t>(rows), kRowGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          const float* yr = y + r * cols;
-          const float* go = grad_out + r * cols;
-          float* gi = grad_in + r * cols;
-          float d = 0.0f;
-          for (std::int64_t c = 0; c < cols; ++c) d += go[c] * yr[c];
-          for (std::int64_t c = 0; c < cols; ++c) gi[c] = (go[c] - d) * yr[c];
-        }
-      });
-}
-
-void causal_softmax_rows(float* scores, std::int64_t rows, std::int64_t cols,
-                         const std::int64_t* allowed, float scale) {
-  sh::parallel::parallel_for(
-      0, static_cast<std::size_t>(rows), kRowGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          float* x = scores + r * cols;
-          const std::int64_t lim = allowed[r];
-          float mx = -std::numeric_limits<float>::infinity();
-          for (std::int64_t c = 0; c <= lim; ++c) {
-            x[c] *= scale;
-            mx = std::max(mx, x[c]);
-          }
-          float sum = 0.0f;
-          for (std::int64_t c = 0; c <= lim; ++c) {
-            x[c] = std::exp(x[c] - mx);
-            sum += x[c];
-          }
-          const float inv = 1.0f / sum;
-          for (std::int64_t c = 0; c <= lim; ++c) x[c] *= inv;
-          for (std::int64_t c = lim + 1; c < cols; ++c) x[c] = 0.0f;
-        }
-      });
-}
-
 void layernorm_forward(const float* x, const float* gamma, const float* beta,
                        float* y, LayerNormStats* stats, std::int64_t rows,
                        std::int64_t cols, float eps) {

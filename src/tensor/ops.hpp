@@ -60,15 +60,6 @@ void gelu_backward_bias_grad(const float* in, const float* grad_out,
 /// Row-wise softmax over a rows x cols matrix.
 void softmax_rows(const float* in, float* out, std::int64_t rows,
                   std::int64_t cols);
-/// Backward of row-wise softmax: grad_in = (grad_out - dot(grad_out, y)) * y.
-void softmax_rows_backward(const float* y, const float* grad_out,
-                           float* grad_in, std::int64_t rows,
-                           std::int64_t cols);
-
-/// Row-wise scaled masked softmax used by causal attention.
-/// Scores is rows x cols; entries with col > allowed[row] are masked to -inf.
-void causal_softmax_rows(float* scores, std::int64_t rows, std::int64_t cols,
-                         const std::int64_t* allowed, float scale);
 
 struct LayerNormStats {
   float mean;

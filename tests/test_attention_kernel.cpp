@@ -1,17 +1,19 @@
-// Fused tiled attention kernel (tensor/attention_kernel.cpp) against the
-// materialised-probs reference implementation it replaced as the default:
+// Fused tiled attention kernel (tensor/attention_kernel.cpp), as wired into
+// nn::CausalSelfAttention, against the materialised-probs test oracle it
+// replaced (testing/attention_ref.hpp):
 //
-//   * fused-vs-reference numeric agreement for forward, input gradient and
+//   * layer-vs-oracle numeric agreement for forward, input gradient and
 //     parameter gradients across (batch, heads, head_dim, seq) — including
 //     sequence lengths that straddle the query-panel (96) and key-tile (256)
 //     boundaries, where off-by-one tile logic would show;
-//   * KV-cached incremental decode equality, fused vs reference;
-//   * the repo's determinism invariant with the fused path explicitly on:
-//     offloaded training losses EXPECT_EQ monolithic ones;
+//   * KV-cached incremental decode agreement, layer vs oracle;
+//   * the repo's determinism invariant: offloaded training losses EXPECT_EQ
+//     monolithic ones;
 //   * batched continuous decoding across forced KV preempt/resume matches
-//     solo generation token-for-token with the fused path explicitly on.
+//     solo generation token-for-token.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -22,17 +24,12 @@
 #include "nn/attention.hpp"
 #include "nn/module.hpp"
 #include "serve/scheduler.hpp"
-#include "tensor/attention_kernel.hpp"
 #include "tensor/rng.hpp"
+#include "testing/attention_ref.hpp"
 #include "testing/util.hpp"
 
 namespace sh::nn {
 namespace {
-
-/// Restores the fused-attention default no matter how a test exits.
-struct FusedGuard {
-  ~FusedGuard() { tensor::set_use_fused_attention(true); }
-};
 
 struct AttnCase {
   std::int64_t batch;
@@ -52,17 +49,11 @@ struct RunResult {
   std::vector<float> grads;  // parameter gradients
 };
 
-RunResult run_layer(const AttnCase& c, bool fused) {
-  FusedGuard guard;
-  tensor::set_use_fused_attention(fused);
-
+/// One forward + backward of `layer` (bound to `store`) on fixed random
+/// input and output gradient.
+template <typename L>
+RunResult run_layer(L& layer, OwnedStorage& store, const AttnCase& c) {
   const std::int64_t hidden = c.heads * c.head_dim;
-  CausalSelfAttention attn("t.attn", hidden, c.heads);
-  OwnedStorage store(attn.param_count());
-  attn.bind(store.params(), store.grads());
-  tensor::Rng rng(21);
-  attn.init(rng);
-
   BatchShape shape;
   shape.batch = c.batch;
   shape.seq = c.seq;
@@ -78,9 +69,9 @@ RunResult run_layer(const AttnCase& c, bool fused) {
       std::span<float>(gy.data(), static_cast<std::size_t>(gy.numel())), 1.0f);
 
   RunResult r;
-  auto y = attn.forward(x, shape);
+  auto y = layer.forward(x, shape);
   r.y.assign(y.data(), y.data() + y.numel());
-  auto gx = attn.backward(gy, shape);
+  auto gx = layer.backward(gy, shape);
   r.gx.assign(gx.data(), gx.data() + gx.numel());
   r.grads.assign(store.grads(), store.grads() + store.count());
   return r;
@@ -90,8 +81,22 @@ class FusedVsReference : public ::testing::TestWithParam<AttnCase> {};
 
 TEST_P(FusedVsReference, ForwardAndBackwardAgree) {
   const auto c = GetParam();
-  const auto fused = run_layer(c, true);
-  const auto ref = run_layer(c, false);
+  const std::int64_t hidden = c.heads * c.head_dim;
+  CausalSelfAttention attn("t.attn", hidden, c.heads);
+  OwnedStorage attn_store(attn.param_count());
+  attn.bind(attn_store.params(), attn_store.grads());
+  tensor::Rng rng(21);
+  attn.init(rng);
+  // The oracle reads the same flat parameter blob (qkv, then proj), so a
+  // wrong plane offset or stride in the layer shows up as a mismatch; it
+  // writes its own gradient blob.
+  sh::testing::AttentionRef oracle(hidden, c.heads);
+  ASSERT_EQ(oracle.param_count(), attn.param_count());
+  OwnedStorage ref_store(oracle.param_count());
+  oracle.bind(attn_store.params(), ref_store.grads());
+
+  const auto fused = run_layer(attn, attn_store, c);
+  const auto ref = run_layer(oracle, ref_store, c);
   // Different summation orders (online-softmax tiles vs one full-row pass),
   // so agreement is tight-tolerance, not bitwise.
   sh::testing::expect_allclose(fused.y, ref.y, 1e-5f, 1e-4f);
@@ -115,7 +120,6 @@ INSTANTIATE_TEST_SUITE_P(
         AttnCase{2, 2, 8, 320}));
 
 TEST(FusedAttention, IncrementalDecodeMatchesReference) {
-  FusedGuard guard;
   const std::int64_t heads = 2;
   const std::int64_t head_dim = 8;
   const std::int64_t hidden = heads * head_dim;
@@ -127,6 +131,9 @@ TEST(FusedAttention, IncrementalDecodeMatchesReference) {
   attn.bind(store.params(), store.grads());
   tensor::Rng rng(31);
   attn.init(rng);
+  sh::testing::AttentionRef oracle(hidden, heads);
+  OwnedStorage ref_store(oracle.param_count());
+  oracle.bind(store.params(), ref_store.grads());
 
   // Chunked prefill + decode: 5 tokens, then 1, then 3.
   const std::vector<std::int64_t> chunks = {5, 1, 3};
@@ -138,8 +145,7 @@ TEST(FusedAttention, IncrementalDecodeMatchesReference) {
     inputs.push_back(std::move(x));
   }
 
-  auto run = [&](bool fused) {
-    tensor::set_use_fused_attention(fused);
+  auto run = [&](auto& layer) {
     KvCache cache;
     cache.k = tensor::Tensor::zeros({batch, heads, capacity, head_dim});
     cache.v = tensor::Tensor::zeros({batch, heads, capacity, head_dim});
@@ -154,7 +160,7 @@ TEST(FusedAttention, IncrementalDecodeMatchesReference) {
       shape.pos_offset = pos;
       auto x = tensor::Tensor::zeros({batch * n, hidden});
       std::copy(inputs[i].begin(), inputs[i].end(), x.data());
-      auto y = attn.forward_incremental(x, shape, cache);
+      auto y = layer.forward_incremental(x, shape, cache);
       out.insert(out.end(), y.data(), y.data() + y.numel());
       pos += n;
     }
@@ -162,20 +168,16 @@ TEST(FusedAttention, IncrementalDecodeMatchesReference) {
     return out;
   };
 
-  const auto fused = run(true);
-  const auto ref = run(false);
+  const auto fused = run(attn);
+  const auto ref = run(oracle);
   sh::testing::expect_allclose(fused, ref, 1e-5f, 1e-4f);
 }
 
-// The determinism invariant, pinned with the fused kernel explicitly
-// enabled: offloaded (windowed, asynchronously transferred) training is
-// bit-identical to monolithic training. This holds because each (batch,
-// head, panel) unit is owned by one thread and tiles accumulate in fixed
-// order, independent of thread count and window size.
+// The determinism invariant: offloaded (windowed, asynchronously
+// transferred) training is bit-identical to monolithic training. This holds
+// because each (batch, head, panel) unit is owned by one thread and tiles
+// accumulate in fixed order, independent of thread count and window size.
 TEST(FusedAttention, MonoVsOffloadBitIdentical) {
-  FusedGuard guard;
-  tensor::set_use_fused_attention(true);
-
   nn::GptConfig mcfg;
   mcfg.vocab = 32;
   mcfg.max_seq = 8;
@@ -212,13 +214,10 @@ TEST(FusedAttention, MonoVsOffloadBitIdentical) {
 }
 
 // Continuous batched decoding under a KV budget tight enough to force
-// preempt/resume produces, with the fused decode path explicitly enabled,
-// exactly the token streams of solo generation (which re-runs the same
-// fused kernel at different q_rows/causal_offset splits).
+// preempt/resume produces exactly the token streams of solo generation
+// (which re-runs the same fused kernel at different q_rows/causal_offset
+// splits).
 TEST(FusedAttention, BatchedDecodeMatchesSoloAcrossPreemption) {
-  FusedGuard guard;
-  tensor::set_use_fused_attention(true);
-
   nn::GptConfig mcfg;
   mcfg.vocab = 32;
   mcfg.max_seq = 16;

@@ -130,6 +130,30 @@ TEST(Decoder, CapacityEnforced) {
   EXPECT_THROW(dec.step({ids.data(), 1}, 1), std::out_of_range);
 }
 
+TEST(Decoder, RejectsOutOfVocabIds) {
+  const auto mcfg = decoder_config();
+  nn::GptModel model(mcfg);
+  EngineConfig ecfg;
+  ecfg.window = 1;
+  StrongholdEngine engine(model, ecfg);
+  engine.init_params(1);
+  const auto vocab = static_cast<std::int32_t>(mcfg.vocab);
+  for (const std::int32_t bad : {-1, vocab}) {
+    const std::vector<std::int32_t> prompt = {bad};
+    EXPECT_THROW(engine.generate_incremental(prompt, 2), std::invalid_argument)
+        << "id " << bad;
+    auto dec = engine.make_decoder(1, 4);
+    const std::vector<std::int32_t> ids = {1, bad};
+    EXPECT_THROW(dec.step(ids, 2), std::invalid_argument) << "id " << bad;
+    // Rejected before anything ran: the session is untouched and usable.
+    EXPECT_EQ(dec.position(), 0);
+    dec.step({ids.data(), 1}, 1);
+    EXPECT_EQ(dec.position(), 1);
+  }
+  const std::vector<std::int32_t> last = {vocab - 1};
+  EXPECT_EQ(engine.generate_incremental(last, 2).size(), 3u);
+}
+
 TEST(Decoder, BatchedDecoding) {
   const auto mcfg = decoder_config();
   nn::GptModel model(mcfg);

@@ -131,17 +131,24 @@ TEST(EngineGenerate, LearnsMarkovSuccessors) {
   for (int i = 0; i < 150; ++i) {
     engine.train_step(corpus.next_batch(8, mcfg.max_seq));
   }
-  // Generate and score transitions against the corpus's successor table.
-  const std::vector<std::int32_t> prompt = {3};
-  const auto tokens = engine.generate(prompt, 24);
-  ASSERT_EQ(tokens.size(), 25u);
+  // Generate from every start token, filling the max_seq context, and score
+  // transitions against the corpus's successor table.
   int follow = 0;
-  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (tokens[i + 1] == corpus.successor(tokens[i])) ++follow;
+  int scored = 0;
+  for (std::int32_t start = 0; start < mcfg.vocab; ++start) {
+    const std::vector<std::int32_t> prompt = {start};
+    const auto tokens = engine.generate_incremental(prompt, 7);
+    ASSERT_EQ(tokens.size(), 8u);
+    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+      if (tokens[i + 1] == corpus.successor(tokens[i])) ++follow;
+      ++scored;
+    }
   }
+  ASSERT_EQ(scored, 112);
   // The chain is followed 75% of the time in the data; a trained model's
-  // greedy decoding should track it most of the time.
-  EXPECT_GE(follow, 15) << "only " << follow << "/24 transitions learned";
+  // greedy decoding should track it most of the time (at least 15 in 24).
+  EXPECT_GE(follow * 24, scored * 15)
+      << "only " << follow << "/" << scored << " transitions learned";
 }
 
 TEST(EngineGenerate, RejectsEmptyPrompt) {
@@ -152,7 +159,7 @@ TEST(EngineGenerate, RejectsEmptyPrompt) {
   ecfg.window = 1;
   StrongholdEngine engine(model, ecfg);
   engine.init_params(1);
-  EXPECT_THROW(engine.generate({}, 4), std::invalid_argument);
+  EXPECT_THROW(engine.generate_incremental({}, 4), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,31 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <vector>
 
-#include "tensor/matmul_ref.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
+#include "testing/attention_ref.hpp"
+#include "testing/matmul_ref.hpp"
 #include "testing/util.hpp"
 
 namespace sh::tensor {
 namespace {
-
-void matmul_reference(const float* a, const float* b, float* c, std::int64_t m,
-                      std::int64_t n, std::int64_t k, bool ta, bool tb,
-                      float alpha, float beta) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const float av = ta ? a[p * m + i] : a[i * k + p];
-        const float bv = tb ? b[j * k + p] : b[p * n + j];
-        acc += static_cast<double>(av) * bv;
-      }
-      c[i * n + j] = alpha * static_cast<float>(acc) + beta * c[i * n + j];
-    }
-  }
-}
 
 struct MatmulCase {
   std::int64_t m, n, k;
@@ -33,44 +19,15 @@ struct MatmulCase {
   float alpha, beta;
 };
 
-class MatmulTest : public ::testing::TestWithParam<MatmulCase> {};
-
-TEST_P(MatmulTest, MatchesReference) {
-  const auto& p = GetParam();
-  Rng rng(123);
-  std::vector<float> a(static_cast<std::size_t>(p.m * p.k));
-  std::vector<float> b(static_cast<std::size_t>(p.k * p.n));
-  std::vector<float> c(static_cast<std::size_t>(p.m * p.n));
-  rng.fill_uniform(a, 1.0f);
-  rng.fill_uniform(b, 1.0f);
-  rng.fill_uniform(c, 1.0f);
-  std::vector<float> expect = c;
-  matmul_reference(a.data(), b.data(), expect.data(), p.m, p.n, p.k, p.ta, p.tb,
-                   p.alpha, p.beta);
-  matmul(a.data(), b.data(), c.data(), p.m, p.n, p.k, p.ta, p.tb, p.alpha,
-         p.beta);
-  sh::testing::expect_allclose(c, expect, 1e-4f, 1e-4f);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, MatmulTest,
-    ::testing::Values(MatmulCase{4, 5, 6, false, false, 1.0f, 0.0f},
-                      MatmulCase{4, 5, 6, false, true, 1.0f, 0.0f},
-                      MatmulCase{4, 5, 6, true, false, 1.0f, 0.0f},
-                      MatmulCase{4, 5, 6, true, true, 1.0f, 0.0f},
-                      MatmulCase{1, 1, 1, false, false, 2.0f, 0.5f},
-                      MatmulCase{7, 3, 9, false, true, 0.5f, 1.0f},
-                      MatmulCase{16, 16, 16, true, false, 1.0f, 1.0f},
-                      MatmulCase{33, 17, 29, false, false, 1.0f, 0.0f},
-                      MatmulCase{64, 2, 3, true, true, -1.0f, 2.0f}));
-
 // --- Blocked GEMM vs the preserved naive kernel (matmul_ref) ---------------
 //
 // Programmatic sweep: every transpose combination x alpha/beta in {0, 1, 0.5}
 // x shapes chosen to straddle the blocking constants (MC=96, KC=256, NC=512)
 // and the 6x16 micro-tile, so edge-padded tiles, multi-KC accumulation and
-// multi-panel parallel paths are all exercised. The two kernels sum in a
-// different order, so comparison is allclose, not bitwise.
+// multi-panel parallel paths are all exercised. A hand-picked tail adds
+// alpha/beta values outside that grid (2, -1) on small ragged shapes. The
+// two kernels sum in a different order, so comparison is allclose, not
+// bitwise.
 std::vector<MatmulCase> gemm_vs_ref_cases() {
   const std::int64_t shapes[][3] = {
       {1, 1, 1},        // single element
@@ -95,6 +52,18 @@ std::vector<MatmulCase> gemm_vs_ref_cases() {
       }
     }
   }
+  const MatmulCase extra[] = {
+      {4, 5, 6, false, false, 1.0f, 0.0f},
+      {4, 5, 6, false, true, 1.0f, 0.0f},
+      {4, 5, 6, true, false, 1.0f, 0.0f},
+      {4, 5, 6, true, true, 1.0f, 0.0f},
+      {1, 1, 1, false, false, 2.0f, 0.5f},
+      {7, 3, 9, false, true, 0.5f, 1.0f},
+      {16, 16, 16, true, false, 1.0f, 1.0f},
+      {33, 17, 29, false, false, 1.0f, 0.0f},
+      {64, 2, 3, true, true, -1.0f, 2.0f},
+  };
+  cases.insert(cases.end(), std::begin(extra), std::end(extra));
   return cases;
 }
 
@@ -110,8 +79,8 @@ TEST_P(GemmVsRefTest, MatchesNaiveKernel) {
   rng.fill_uniform(b, 1.0f);
   rng.fill_uniform(c, 1.0f);
   std::vector<float> expect = c;
-  matmul_ref(a.data(), b.data(), expect.data(), p.m, p.n, p.k, p.ta, p.tb,
-             p.alpha, p.beta);
+  sh::testing::matmul_ref(a.data(), b.data(), expect.data(), p.m, p.n, p.k,
+                          p.ta, p.tb, p.alpha, p.beta);
   matmul(a.data(), b.data(), c.data(), p.m, p.n, p.k, p.ta, p.tb, p.alpha,
          p.beta);
   sh::testing::expect_allclose(c, expect, 1e-4f, 1e-4f);
@@ -119,20 +88,6 @@ TEST_P(GemmVsRefTest, MatchesNaiveKernel) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GemmVsRefTest,
                          ::testing::ValuesIn(gemm_vs_ref_cases()));
-
-TEST(Gemm, ReferenceFallbackTogglesAtRuntime) {
-  Rng rng(77);
-  std::vector<float> a(19 * 23), b(23 * 31), c_ref(19 * 31), c_flag(19 * 31);
-  rng.fill_uniform(a, 1.0f);
-  rng.fill_uniform(b, 1.0f);
-  matmul_ref(a.data(), b.data(), c_ref.data(), 19, 31, 23, false, false);
-  set_use_reference_gemm(true);
-  matmul(a.data(), b.data(), c_flag.data(), 19, 31, 23, false, false);
-  set_use_reference_gemm(false);
-  for (std::size_t i = 0; i < c_ref.size(); ++i) {
-    EXPECT_EQ(c_flag[i], c_ref[i]) << "at " << i;
-  }
-}
 
 // --- Fused epilogues: bitwise-identical to their unfused compositions ------
 //
@@ -306,7 +261,7 @@ TEST(Ops, SoftmaxIsShiftInvariant) {
 TEST(Ops, CausalSoftmaxMasksFuturePositions) {
   std::vector<float> scores(4 * 4, 1.0f);
   std::vector<std::int64_t> allowed = {0, 1, 2, 3};
-  causal_softmax_rows(scores.data(), 4, 4, allowed.data(), 1.0f);
+  sh::testing::causal_softmax_rows(scores.data(), 4, 4, allowed.data(), 1.0f);
   for (int r = 0; r < 4; ++r) {
     float sum = 0;
     for (int c = 0; c < 4; ++c) {

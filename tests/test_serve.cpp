@@ -133,6 +133,16 @@ TEST(Serve, SubmitRejectsInfeasibleRequests) {
   scfg.arena.budget_bytes = 4000;  // < one request at 12 tokens (4608 B)
   Scheduler sched(engine, scfg);
 
+  // Token ids outside [0, vocab), in a prefix or a prompt.
+  const auto vocab = static_cast<std::int32_t>(mcfg.vocab);
+  for (const std::int32_t bad : {-1, vocab}) {
+    EXPECT_THROW(sched.register_prefix(std::vector<std::int32_t>{1, bad}),
+                 std::invalid_argument);
+    Request r;
+    r.prompt = {1, bad};
+    r.max_new_tokens = 3;
+    EXPECT_THROW(sched.submit(r), std::invalid_argument);
+  }
   Request r;
   r.prompt = {1, 2};
   r.max_new_tokens = 0;

@@ -1,9 +1,8 @@
-// Test/bench support: the pre-blocking row-streaming matmul, preserved
-// verbatim as `matmul_ref`. The blocked GEMM in gemm.cpp is pinned against
-// this kernel across shape/transpose/alpha-beta sweeps in test_ops.cpp, and
-// bench_kernels reports GFLOPS of new-vs-ref on GPT-block shapes.
-//
-// Not part of the model hot path — include only from tests and benches.
+// GEMM test oracle: the pre-blocking row-streaming matmul, preserved
+// verbatim as `matmul_ref`. The blocked GEMM in src/tensor/gemm.cpp is
+// pinned against this kernel across shape/transpose/alpha-beta sweeps in
+// test_ops.cpp, and bench_kernels reports GFLOPS of blocked-vs-ref on
+// GPT-block shapes. Header-only; the library never includes it.
 #pragma once
 
 #include <algorithm>
@@ -11,14 +10,7 @@
 
 #include "parallel/parallel_for.hpp"
 
-namespace sh::tensor {
-
-/// Routes sh::tensor::matmul (and the fused-epilogue entry points) through
-/// matmul_ref instead of the blocked GEMM. Bench-only escape hatch so
-/// bench_kernels can measure genuine before/after end-to-end step times in
-/// one binary. Not thread-safe against concurrent matmul calls.
-void set_use_reference_gemm(bool enabled);
-bool use_reference_gemm();
+namespace sh::testing {
 
 /// C = alpha * op(A) @ op(B) + beta * C — the seed repo's naive kernel:
 /// row-parallel, streaming over B rows, no blocking/packing/register tiling.
@@ -65,4 +57,4 @@ inline void matmul_ref(const float* a, const float* b, float* c,
       });
 }
 
-}  // namespace sh::tensor
+}  // namespace sh::testing
