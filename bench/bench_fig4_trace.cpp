@@ -63,6 +63,10 @@ int main() {
   obs::MetricsSnapshot metrics;
   const std::size_t steps = 6;
   double f32_h2d_per_step = 0.0;
+  // Steady-state layer fetches per step (the first step also fills blocks
+  // 1..R): host-independent, 2*(N-R) when turnaround residency holds.
+  double fetches_per_step = 0.0;
+  std::size_t resident = 0;
   {
     core::EngineConfig cfg;
     cfg.window = 2;
@@ -74,16 +78,22 @@ int main() {
     engine.init_params(1);
 
     data::SyntheticCorpus corpus(mc.vocab, /*seed=*/7);
+    std::size_t fetches_after_first = 0;
     for (std::size_t i = 0; i < steps; ++i) {
       const auto batch = corpus.next_batch(4, mc.max_seq);
       engine.train_step(batch);
+      if (i == 0) fetches_after_first = engine.stats().h2d_transfers;
     }
     // Quiesce so every asynchronous transfer/update span has landed.
     std::vector<float> tmp;
     engine.snapshot_params(tmp);
     metrics = obs::Registry::global().snapshot();
-    f32_h2d_per_step =
-        static_cast<double>(engine.stats().h2d_bytes) / steps;
+    const core::EngineStats st = engine.stats();
+    f32_h2d_per_step = static_cast<double>(st.h2d_bytes) / steps;
+    fetches_per_step =
+        static_cast<double>(st.h2d_transfers - fetches_after_first) /
+        static_cast<double>(steps - 1);
+    resident = st.resident_layers;
   }
   obs::Recorder::global().set_enabled(false);
 
@@ -131,8 +141,17 @@ int main() {
   std::printf(
       "h2d bytes/step        : %.0f (f32)  %.0f (bf16 window)  ratio %.3f\n",
       f32_h2d_per_step, bf16_h2d_per_step, h2d_ratio);
+  std::printf(
+      "h2d fetches/step      : %.1f steady state (N = %lld blocks, R = %zu "
+      "resident at the turnarounds; 2*(N-R) = %lld)\n",
+      fetches_per_step, static_cast<long long>(mc.layers), resident,
+      2 * (static_cast<long long>(mc.layers) -
+           static_cast<long long>(resident)));
 
   metrics.add("fig4.real.h2d_bytes_per_step", f32_h2d_per_step, "bytes");
+  metrics.add("fig4.real.h2d_fetches_per_step", fetches_per_step, "layers");
+  metrics.add("fig4.real.resident_layers", static_cast<double>(resident),
+              "layers");
   metrics.add("fig4.bf16.h2d_bytes_per_step", bf16_h2d_per_step, "bytes");
   metrics.add("fig4.bf16.h2d_bytes_ratio", h2d_ratio, "");
   metrics.add("fig4.real.gpu_utilization", util, "");

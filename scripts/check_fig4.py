@@ -12,7 +12,10 @@ build, while normal CI-runner noise does not.
 Floors are deliberately loose — the measured values sit well above them
 (utilization ~0.9, overlap ~0.8 on CI runners) — and can be tuned per run
 via flags or the SH_FIG4_MIN_GPU_UTIL / SH_FIG4_MIN_H2D_OVERLAP environment
-variables. Stdlib only — runs anywhere CI has python3.
+variables. One gate is host-independent and exact: the steady-state layer
+fetches per step, which turnaround residency holds at 2*(N-R) for the
+bench's 8-block, window-2 model (R = 4 uniform slots kept resident).
+Stdlib only — runs anywhere CI has python3.
 """
 import argparse
 import json
@@ -68,6 +71,15 @@ def main() -> int:
         "bytes/step with window_dtype=bf16 must be at most this fraction of "
         "the FP32 run (exactly 0.5 when the schedules match)",
     )
+    parser.add_argument(
+        "--max-h2d-fetches-per-step",
+        type=float,
+        default=2 * (8 - 4),
+        help="ceiling on fig4.real.h2d_fetches_per_step (default: "
+        "%(default)s = 2*(N-R) for N = 8 blocks and R = 4 resident layers: "
+        "window 2 plus two stage slots). More means the turnaround layers "
+        "are evicted and fetched again instead of staying in their slots",
+    )
     args = parser.parse_args()
 
     try:
@@ -86,6 +98,7 @@ def main() -> int:
 
     ceilings = {
         "fig4.bf16.h2d_bytes_ratio": args.max_bf16_h2d_ratio,
+        "fig4.real.h2d_fetches_per_step": args.max_h2d_fetches_per_step,
     }
 
     failed = False
@@ -111,10 +124,11 @@ def main() -> int:
 
     if failed:
         print("check_fig4: overlap/transfer regression — compute is no "
-              "longer hiding transfers, or the BF16 window stopped halving "
-              "wire bytes (or the bench did not run)")
+              "longer hiding transfers, the BF16 window stopped halving "
+              "wire bytes, or turnaround layers are fetched again (or the "
+              "bench did not run)")
         return 1
-    print("check_fig4: overlap floors and bf16 transfer ceiling hold")
+    print("check_fig4: overlap floors and transfer ceilings hold")
     return 0
 
 

@@ -259,19 +259,24 @@ void StrongholdEngine::init_params(std::uint64_t seed) {
   }
 }
 
-void StrongholdEngine::normalize_residency() {
+std::size_t StrongholdEngine::resident_layers() const {
+  return std::min(num_blocks(),
+                  std::max(window_, pool_->capacity_in(slot_bytes_)));
+}
+
+void StrongholdEngine::normalize_residency(std::size_t resident) {
   const std::size_t blocks = num_blocks();
-  const std::size_t w = std::min(window_, blocks);
-  // Free out-of-window residents first (e.g. the FP tail left behind by an
-  // inference pass) so the head-window prefetches cannot exhaust the slots.
-  for (std::size_t b = w + 1; b <= blocks; ++b) {
+  const std::size_t r = std::min(resident, blocks);
+  // Free residents past the head first (e.g. the FP tail left behind by the
+  // previous pass) so the head prefetches cannot exhaust the slots.
+  for (std::size_t b = r + 1; b <= blocks; ++b) {
     LayerState& st = block(b);
     if (st.gpu_slot != nullptr) {
       wait_ready(st);
       evict_after_forward(st);
     }
   }
-  for (std::size_t b = 1; b <= w; ++b) prefetch(b);
+  for (std::size_t b = 1; b <= r; ++b) prefetch(b);
 }
 
 void StrongholdEngine::prefetch(std::size_t index) {
@@ -733,6 +738,14 @@ void StrongholdEngine::finalize_clipped_updates() {
 }
 
 float StrongholdEngine::train_step(const data::Batch& batch) {
+  // The embedding gather and the loss index their tables unchecked: reject
+  // out-of-vocabulary ids and targets before any layer streams.
+  const std::int64_t vocab = model_.config().vocab;
+  if (batch.targets.size() != batch.ids.size()) {
+    throw std::invalid_argument("train_step: targets and ids differ in size");
+  }
+  nn::check_token_ids(batch.ids, vocab, "train_step ids");
+  nn::check_token_ids(batch.targets, vocab, "train_step targets");
   if (!ckpt_) return train_step_body(batch);
   // Surface tier failures parked since the previous step HERE, where the
   // masters are still consistent: the last-gasp path can take a fresh
@@ -793,11 +806,15 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
     global_step = static_cast<std::int64_t>(stats_.iterations);
   }
   const std::size_t blocks = num_blocks();
+  // Turnaround residency: FP keeps its last R blocks for BP, and BP updates
+  // blocks 1..R in place (III-E1) so the next FP starts with them resident.
+  // R fills every reserved slot, so each step moves 2*(N-R) layers.
+  const std::size_t resident = resident_layers();
 
   begin_iteration_lr_and_clip();
-  // Make sure the initial FP window is resident (first iteration, or after a
+  // Make sure blocks 1..R are resident (first iteration, or after a
   // window-size change or an inference pass).
-  normalize_residency();
+  normalize_residency(resident);
 
   dist::Barrier bar(static_cast<int>(cfg_.num_executors));
   std::vector<float> losses(cfg_.num_executors, 0.0f);
@@ -873,9 +890,9 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       if (e == 0) obs::span("gpu", "f", t0, now_seconds());
       bar.arrive_and_wait();
       // Per-executor FP grads are unused; nothing to reduce here. Eviction:
-      // recycle the computed layer when a future layer still needs a slot;
-      // the tail of the model stays resident so BP starts with a full window.
-      if (e == 0 && b + window_ <= blocks) {
+      // recycle the computed layer unless it is among the last R, which
+      // stay resident for the start of BP.
+      if (e == 0 && b + resident <= blocks) {
         evict_after_forward(st);
       }
       // The block's checkpointed input is now quiescent until its backward:
@@ -963,7 +980,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
                               static_cast<std::int64_t>(params));
           }
         }
-        if (b > window_) {
+        if (b > resident) {
           evict_after_backward(st);
         } else {
           update_resident_layer(st);
@@ -1074,7 +1091,9 @@ void StrongholdEngine::maybe_update_window() {
 void StrongholdEngine::stream_layers(const LayerVisitor& visit) {
   const std::size_t blocks = num_blocks();
   mem::ScopedTensorCharge charge(gpu_pool_, mem::DeviceArena::kActivations);
-  normalize_residency();
+  // Serving streams every block through the window on every pass: it starts
+  // from blocks 1..window, not from the training turnaround's 1..R.
+  normalize_residency(window_);
   std::vector<float> scratch(
       static_cast<std::size_t>(store_.max_layer_params()), 0.0f);
 
@@ -1097,6 +1116,7 @@ void StrongholdEngine::stream_layers(const LayerVisitor& visit) {
 tensor::Tensor StrongholdEngine::inference(std::span<const std::int32_t> ids,
                                            const nn::BatchShape& shape,
                                            const ActivationObserver& observer) {
+  nn::check_token_ids(ids, model_.config().vocab, "inference");
   const std::size_t blocks = num_blocks();
   tensor::Tensor x;
   stream_layers([&](std::size_t unit, nn::Layer& layer) {
@@ -1483,9 +1503,11 @@ void StrongholdEngine::last_gasp_checkpoint(bool consistent) {
 }
 
 EngineStats StrongholdEngine::stats() const {
+  const std::size_t resident = resident_layers();  // takes the pool's lock
   std::lock_guard<std::mutex> lock(stats_mu_);
   EngineStats s = stats_;
   s.window = window_;
+  s.resident_layers = resident;
   s.gpu_high_water_bytes = gpu_pool_.peak_bytes();
   s.arena = gpu_pool_.stats();
   if (swap_) {
@@ -1544,6 +1566,8 @@ void StrongholdEngine::export_metrics(obs::MetricsSnapshot& out) const {
   // Activation spill needs the NVMe tier and a single executor; report
   // whether this engine runs it, since the multi-executor case drops it.
   out.add("engine.act_spill_enabled", act_spill_enabled_ ? 1.0 : 0.0);
+  // R: why a step moves 2*(N-R) layers rather than 2*(N-window).
+  out.add("engine.resident_layers", n(s.resident_layers), "layers");
   out.add("engine.act_spills", n(s.act_spills));
   out.add("engine.act_restores", n(s.act_restores));
   out.add("arena.capacity_bytes", n(s.arena.capacity), "bytes");

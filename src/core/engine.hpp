@@ -4,13 +4,16 @@
 // layers resident in a capacity-enforced "GPU" memory pool:
 //
 //  * FP (Fig. 3b): before computing layer i the engine prefetches layer i+m
-//    asynchronously; after computing, layer i's buffer is recycled (layers at
-//    the tail stay resident so BP starts with a full window).
+//    asynchronously; after computing, layer i's buffer is recycled (the last
+//    R layers stay resident so BP starts without fetching them).
 //  * BP (Fig. 3c): before computing layer i it prefetches layer i-m; after
 //    computing, gradients are copied to the CPU asynchronously and a
 //    concurrent optimizer actor updates the layer's master parameters. The
-//    last m layers of BP (the first m of the model) remain on the GPU and are
+//    last R layers of BP (the first R of the model) remain on the GPU and are
 //    updated in place, so the next FP starts without a stall (III-E1).
+//  * R >= m is the number of slots the allocator reserves (m plus one or two
+//    stage slots): at each turnaround those slots hold layers instead of
+//    sitting empty, so a step moves 2*(N-R) layers rather than 2*(N-m).
 //  * The window size is chosen by the analytical model (Section III-D) from
 //    warm-up-phase profiles, or fixed by the user.
 //  * With multiple executors (Section IV-A), the batch is split into
@@ -178,6 +181,10 @@ struct EngineConfig {
 
 struct EngineStats {
   std::size_t window = 0;
+  /// R: blocks kept resident across both turnarounds (every reserved slot).
+  /// A steady-state step of N blocks fetches 2*(N-R) layers and drains N-R
+  /// gradients.
+  std::size_t resident_layers = 0;
   bool window_auto_selected = false;
   WindowDecision decision{};
   std::size_t iterations = 0;
@@ -345,10 +352,14 @@ class StrongholdEngine {
   /// Pulls the in-place-updated pinned embedding/head back into their
   /// masters (a no-op for f16 windows, whose masters are authoritative).
   void sync_pinned_masters();
-  /// Evicts resident blocks outside the current head window and prefetches
-  /// blocks 1..window — the canonical pass-start state. Handles residual
-  /// residency from inference passes or window-size changes.
-  void normalize_residency();
+  /// R: blocks kept resident across the FP->BP and BP->FP turnarounds —
+  /// every max-size slot the allocator holds, never fewer than the window.
+  std::size_t resident_layers() const;
+  /// Evicts resident blocks past `resident` and prefetches blocks
+  /// 1..resident — the canonical pass-start state (R for training, the
+  /// window for streaming passes). Handles residual residency from the other
+  /// kind of pass or window-size changes.
+  void normalize_residency(std::size_t resident);
   tensor::Tensor decode_step(Decoder& decoder,
                              std::span<const std::int32_t> ids,
                              std::int64_t n_new);

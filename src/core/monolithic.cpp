@@ -26,15 +26,33 @@ MonolithicTrainer::MonolithicTrainer(nn::GptModel& model,
                         TrainOptions{.clip_grad_norm = clip_grad_norm,
                                      .lr_schedule = std::move(lr_schedule)}) {}
 
+bool MonolithicTrainer::rounds_layer(std::size_t i) const noexcept {
+  switch (options_.window_dtype) {
+    case tensor::DType::f16:
+      return true;
+    case tensor::DType::bf16:
+      return i != 0 && i + 1 != store_.size();
+    default:
+      return false;
+  }
+}
+
+void MonolithicTrainer::round_window(float* data,
+                                     std::size_t n) const noexcept {
+  if (options_.window_dtype == tensor::DType::f16) {
+    tensor::quantize_f16_inplace(data, n);
+  } else {
+    tensor::quantize_bf16_inplace(data, n);
+  }
+}
+
 void MonolithicTrainer::init_params(std::uint64_t seed) {
   store_.init_params(seed);
-  if (options_.fp16) {
-    staged_params_.resize(store_.size());
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      staged_params_[i] = store_.state(i).cpu_params;
-      tensor::quantize_f16_inplace(staged_params_[i].data(),
-                                    staged_params_[i].size());
-    }
+  staged_params_.assign(store_.size(), {});
+  for (std::size_t i = 0; i < store_.size(); ++i) {
+    if (!rounds_layer(i)) continue;
+    staged_params_[i] = store_.state(i).cpu_params;
+    round_window(staged_params_[i].data(), staged_params_[i].size());
   }
 }
 
@@ -44,14 +62,15 @@ float MonolithicTrainer::train_step(const data::Batch& batch) {
   const nn::BatchShape shape{bs, seq, /*training=*/true,
                              static_cast<std::int64_t>(iterations_),
                              /*row_offset=*/0};
-  const bool fp16 = options_.fp16;
+  const bool fp16 = options_.window_dtype == tensor::DType::f16;
 
   for (std::size_t i = 0; i < store_.size(); ++i) {
     LayerState& st = store_.state(i);
     std::fill(st.cpu_grads.begin(), st.cpu_grads.end(), 0.0f);
-    // FP16: compute on the half-rounded staged copy; FP32 masters are only
+    // Rounded layers compute on the staged copy; FP32 masters are only
     // touched by the optimizer.
-    float* params = fp16 ? staged_params_[i].data() : st.cpu_params.data();
+    float* params =
+        rounds_layer(i) ? staged_params_[i].data() : st.cpu_params.data();
     st.layer->bind(params, st.cpu_grads.data());
   }
 
@@ -64,12 +83,14 @@ float MonolithicTrainer::train_step(const data::Batch& batch) {
   }
   model_.backward(grad_logits, shape);
 
-  // FP16 wire format + overflow detection, as in the engine's d2h path.
+  // Window wire format (+ f16 overflow detection), as in the engine's d2h
+  // path.
   bool overflow = false;
-  if (fp16) {
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      LayerState& st = store_.state(i);
-      tensor::quantize_f16_inplace(st.cpu_grads.data(), st.cpu_grads.size());
+  for (std::size_t i = 0; i < store_.size(); ++i) {
+    if (!rounds_layer(i)) continue;
+    LayerState& st = store_.state(i);
+    round_window(st.cpu_grads.data(), st.cpu_grads.size());
+    if (fp16) {
       for (float g : st.cpu_grads) {
         if (!std::isfinite(g)) {
           overflow = true;
@@ -110,10 +131,9 @@ float MonolithicTrainer::train_step(const data::Batch& batch) {
     ++st.step;
     adam_.step(st.cpu_params.data(), st.cpu_grads.data(), st.cpu_opt.data(),
                st.step, st.params, lr);
-    if (fp16) {
+    if (rounds_layer(i)) {
       staged_params_[i] = st.cpu_params;
-      tensor::quantize_f16_inplace(staged_params_[i].data(),
-                                    staged_params_[i].size());
+      round_window(staged_params_[i].data(), staged_params_[i].size());
     }
   }
   return loss;

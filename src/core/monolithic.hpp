@@ -15,17 +15,21 @@
 #include "nn/gpt.hpp"
 #include "optim/optimizer.hpp"
 #include "optim/schedule.hpp"
+#include "tensor/dtype.hpp"
 
 namespace sh::core {
 
 /// Options mirroring the engine's training features so the oracle covers
-/// every path: clipping, schedules and mixed precision.
+/// every path: clipping, schedules and reduced-precision windows.
 struct TrainOptions {
   float clip_grad_norm = 0.0f;
   optim::LrSchedule lr_schedule{};
-  /// Computes on f16-rounded parameters with f16-rounded gradients and
-  /// dynamic loss scaling: the oracle for window_dtype = f16.
-  bool fp16 = false;
+  /// The engine window_dtype this oracle mirrors (nearest-even rounding).
+  /// f16 computes every layer on f16-rounded parameters with f16-rounded
+  /// gradients and dynamic loss scaling. bf16 rounds only the transformer
+  /// blocks' parameters and gradients: the engine keeps the pinned
+  /// embedding and head in f32, and bf16 needs no loss scaling.
+  tensor::DType window_dtype = tensor::DType::f32;
   LossScalerConfig loss_scaler{};
 };
 
@@ -54,13 +58,18 @@ class MonolithicTrainer {
   const LossScaler& scaler() const noexcept { return scaler_; }
 
  private:
+  /// True when layer `i` computes on a rounded copy of its master.
+  bool rounds_layer(std::size_t i) const noexcept;
+  /// Rounds `n` values through the window dtype in place.
+  void round_window(float* data, std::size_t n) const noexcept;
+
   nn::GptModel& model_;
   optim::Adam adam_;
   TrainOptions options_;
   LossScaler scaler_;
   LayerStore store_;  // reused purely as the flat state container
-  // FP16: per-layer device-format (half-rounded) parameter copies the model
-  // computes on; the FP32 masters live in store_.
+  // Reduced-precision windows: per-layer device-format (rounded) parameter
+  // copies the model computes on; the FP32 masters live in store_.
   std::vector<std::vector<float>> staged_params_;
   std::size_t iterations_ = 0;
 };

@@ -26,6 +26,7 @@
 #include "serve/scheduler.hpp"
 #include "tensor/rng.hpp"
 #include "testing/attention_ref.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::nn {
@@ -183,7 +184,7 @@ TEST(FusedAttention, MonoVsOffloadBitIdentical) {
   mcfg.max_seq = 8;
   mcfg.hidden = 16;
   mcfg.heads = 2;
-  mcfg.layers = 4;
+  mcfg.layers = 8;  // a window of 2 reserves 4 slots: half the model streams
 
   data::SyntheticCorpus corpus(mcfg.vocab, 99);
   std::vector<data::Batch> batches;
@@ -202,8 +203,7 @@ TEST(FusedAttention, MonoVsOffloadBitIdentical) {
   ecfg.window = 2;
   core::StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
 

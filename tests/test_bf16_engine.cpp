@@ -13,12 +13,15 @@
 #include "obs/metrics.hpp"
 #include "serve/kv_arena.hpp"
 #include "tensor/dtype.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::core {
 namespace {
 
-nn::GptConfig tiny_config(std::int64_t layers = 4) {
+// Eight blocks by default: a window of 2 reserves 4 slots, so half the model
+// still streams every step.
+nn::GptConfig tiny_config(std::int64_t layers = 8) {
   nn::GptConfig cfg;
   cfg.vocab = 32;
   cfg.max_seq = 8;
@@ -48,7 +51,7 @@ RunResult run_engine(const nn::GptConfig& mcfg, EngineConfig ecfg,
   StrongholdEngine engine(model, std::move(ecfg));
   engine.init_params(42);
   RunResult r;
-  for (const auto& b : batches) r.losses.push_back(engine.train_step(b));
+  r.losses = sh::testing::train_streaming(engine, batches);
   engine.snapshot_params(r.params);
   r.stats = engine.stats();
   return r;

@@ -9,6 +9,7 @@
 #include "data/synthetic.hpp"
 #include "mem/device_arena.hpp"
 #include "mem/pool_policies.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::core {
@@ -152,7 +153,10 @@ nn::GptConfig moe_config() {
 }
 
 TEST(ByteBudgetEngine, HeterogeneousTrainingMatchesMonolithic) {
-  const auto mcfg = moe_config();
+  // Eight blocks (two MoE): the budget derived from window 2 holds four
+  // max-size layers, so the rest of the model streams every step.
+  auto mcfg = moe_config();
+  mcfg.layers = 8;
   data::SyntheticCorpus corpus(mcfg.vocab, 31);
   std::vector<data::Batch> batches;
   for (int i = 0; i < 2; ++i) batches.push_back(corpus.next_batch(2, mcfg.max_seq));
@@ -171,8 +175,7 @@ TEST(ByteBudgetEngine, HeterogeneousTrainingMatchesMonolithic) {
   ecfg.window_mode = WindowMode::ByteBudget;
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
   EXPECT_EQ(losses, ref_losses);
@@ -254,7 +257,7 @@ TEST(ByteBudgetEngine, AutoWindowWarmsUpWithinBudget) {
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
   EXPECT_LE(engine.window(), 2u);
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  losses = sh::testing::train_streaming(engine, batches);
   engine.snapshot_params(params);
   EXPECT_TRUE(engine.stats().window_auto_selected);
   EXPECT_LE(engine.stats().window, 2u);

@@ -30,6 +30,7 @@
 #include "nn/gpt.hpp"
 #include "storage/fault_plan.hpp"
 #include "testing/ckpt_chaos.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 extern char** environ;
@@ -479,8 +480,13 @@ TrainRun run_engine(const nn::GptConfig& mcfg, core::EngineConfig ecfg,
     start = static_cast<int>(engine.stats().iterations);
   }
   TrainRun run;
+  std::size_t after_first = 0;
   for (int i = start; i < steps; ++i) {
     run.losses.push_back(engine.train_step(corpus.next_batch(2, mcfg.max_seq)));
+    if (run.losses.size() == 1) after_first = engine.stats().h2d_transfers;
+  }
+  if (run.losses.size() > 1) {
+    sh::testing::expect_streams(engine.stats(), after_first);
   }
   engine.snapshot_params(run.params);
   run.iterations = engine.stats().iterations;

@@ -14,18 +14,21 @@
 #include "core/monolithic.hpp"
 #include "data/synthetic.hpp"
 #include "dist/dp_trainer.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::dist {
 namespace {
 
+// Eight blocks: a window of 2 reserves 4 slots, so half of every rank's
+// model streams every step.
 nn::GptConfig tiny_config() {
   nn::GptConfig cfg;
   cfg.vocab = 32;
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;
   return cfg;
 }
 
@@ -36,9 +39,12 @@ TEST(DataParallel, ReplicasStayBitIdentical) {
   DataParallelTrainer trainer(mcfg, ecfg, /*world=*/2);
   trainer.init_params(42);
   data::SyntheticCorpus corpus(mcfg.vocab, 99);
+  std::size_t after_first = 0;
   for (int i = 0; i < 3; ++i) {
     trainer.train_step(corpus.next_batch(4, mcfg.max_seq));
+    if (i == 0) after_first = trainer.stats(1).h2d_transfers;
   }
+  sh::testing::expect_streams(trainer.stats(1), after_first);
   std::vector<float> p0, p1;
   trainer.snapshot_params(0, p0);
   trainer.snapshot_params(1, p1);
@@ -57,8 +63,7 @@ TEST(DataParallel, MatchesSingleEngineOnGlobalBatch) {
   ref_cfg.window = 2;
   core::StrongholdEngine ref(ref_model, ref_cfg);
   ref.init_params(42);
-  std::vector<float> ref_losses;
-  for (const auto& b : batches) ref_losses.push_back(ref.train_step(b));
+  const auto ref_losses = sh::testing::train_streaming(ref, batches);
   std::vector<float> ref_params;
   ref.snapshot_params(ref_params);
 
@@ -203,7 +208,12 @@ DpReference run_reference(const nn::GptConfig& mcfg,
   DataParallelTrainer trainer(mcfg, ecfg, world);
   trainer.init_params(42);
   DpReference ref;
-  for (const auto& b : batches) ref.losses.push_back(trainer.train_step(b));
+  std::size_t after_first = 0;
+  for (const auto& b : batches) {
+    ref.losses.push_back(trainer.train_step(b));
+    if (ref.losses.size() == 1) after_first = trainer.stats(0).h2d_transfers;
+  }
+  sh::testing::expect_streams(trainer.stats(0), after_first);
   trainer.snapshot_params(0, ref.params);
   return ref;
 }

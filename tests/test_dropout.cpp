@@ -10,6 +10,7 @@
 #include "core/monolithic.hpp"
 #include "data/synthetic.hpp"
 #include "tensor/dropout.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh {
@@ -87,7 +88,7 @@ nn::GptConfig dropout_config(bool checkpoint = false) {
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;  // a window of 2 reserves 4 slots: half the model streams
   cfg.dropout = 0.2f;
   cfg.checkpoint_activations = checkpoint;
   return cfg;
@@ -112,8 +113,7 @@ TEST(DropoutTraining, OffloadedMatchesMonolithicBitwise) {
   ecfg.window = 2;
   core::StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
   EXPECT_EQ(losses, ref_losses);
@@ -136,7 +136,7 @@ TEST(DropoutTraining, CheckpointRecomputationReproducesMasks) {
     ecfg.window = 2;
     core::StrongholdEngine engine(model, ecfg);
     engine.init_params(42);
-    for (const auto& b : batches) engine.train_step(b);
+    (void)sh::testing::train_streaming(engine, batches);
     std::vector<float> p;
     engine.snapshot_params(p);
     return p;
@@ -157,7 +157,7 @@ TEST(DropoutTraining, ExecutorSplitDrawsConsistentMasks) {
     ecfg.num_executors = executors;
     core::StrongholdEngine engine(model, ecfg);
     engine.init_params(42);
-    for (const auto& b : batches) engine.train_step(b);
+    (void)sh::testing::train_streaming(engine, batches);
     std::vector<float> p;
     engine.snapshot_params(p);
     return p;

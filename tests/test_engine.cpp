@@ -11,18 +11,21 @@
 #include "core/monolithic.hpp"
 #include "data/synthetic.hpp"
 #include "storage/fault_plan.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::core {
 namespace {
 
+// Eight blocks: with a window of 2 the engine reserves 4 slots, so half the
+// model still streams through them every step.
 nn::GptConfig tiny_config(bool checkpoint = false) {
   nn::GptConfig cfg;
   cfg.vocab = 32;
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;
   cfg.checkpoint_activations = checkpoint;
   return cfg;
 }
@@ -36,15 +39,21 @@ std::vector<data::Batch> make_batches(std::int64_t bs, std::int64_t seq,
 }
 
 /// Trains `steps` iterations through the engine and returns the final
-/// parameter snapshot and losses.
+/// parameter snapshot and losses. Unless `whole_model_resident`, checks that
+/// the steps after the first still streamed layers.
 std::pair<std::vector<float>, std::vector<float>> run_engine(
     const nn::GptConfig& mcfg, EngineConfig ecfg,
-    const std::vector<data::Batch>& batches) {
+    const std::vector<data::Batch>& batches,
+    bool whole_model_resident = false) {
   nn::GptModel model(mcfg);
   StrongholdEngine engine(model, std::move(ecfg));
   engine.init_params(42);
   std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  if (whole_model_resident) {
+    for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  } else {
+    losses = sh::testing::train_streaming(engine, batches);
+  }
   std::vector<float> params;
   engine.snapshot_params(params);
   return {params, losses};
@@ -87,7 +96,10 @@ TEST_P(WindowSweep, EveryWindowSizeIsExact) {
 
   EngineConfig ecfg;
   ecfg.window = GetParam();
-  const auto [params, losses] = run_engine(mcfg, ecfg, batches);
+  // A window as large as the model keeps every block resident.
+  const auto [params, losses] =
+      run_engine(mcfg, ecfg, batches,
+                 GetParam() >= static_cast<std::size_t>(mcfg.layers));
   EXPECT_EQ(losses, ref_losses);
   sh::testing::expect_allclose(params, ref_params, 0.0f, 0.0f);
 }
@@ -169,8 +181,7 @@ TEST(Engine, SwapTierTrainingMatchesInMemory) {
   StrongholdEngine engine(model, ecfg);
   EXPECT_GT(engine.stats().swap_backed_layers, 0u);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
   EXPECT_EQ(losses, ref_losses);
@@ -203,8 +214,7 @@ TEST(Engine, FaultyTierLossBitIdentical) {
   nn::GptModel model(mcfg);
   StrongholdEngine engine(model, faulted);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
 
@@ -270,7 +280,9 @@ TEST(Engine, AutoWindowStillMatchesMonolithic) {
   EngineConfig ecfg;
   ecfg.window = 0;
   ecfg.warmup_iterations = 1;
-  const auto [params, losses] = run_engine(mcfg, ecfg, batches);
+  // The unbounded device fits the whole model in the auto-selected window.
+  const auto [params, losses] =
+      run_engine(mcfg, ecfg, batches, /*whole_model_resident=*/true);
   EXPECT_EQ(losses, ref_losses);
   sh::testing::expect_allclose(params, ref_params, 0.0f, 0.0f);
 }
@@ -378,8 +390,7 @@ TEST(Engine, TrainingAfterInferenceStaysCorrect) {
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
   (void)engine.inference(batches[0].ids, {2, mcfg.max_seq});
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
   EXPECT_EQ(losses, ref_losses);
@@ -409,6 +420,60 @@ TEST(Engine, RejectsIndivisibleBatchForExecutors) {
   data::SyntheticCorpus corpus(32, 1);
   auto batch = corpus.next_batch(3, mcfg.max_seq);  // 3 % 2 != 0
   EXPECT_THROW(engine.train_step(batch), std::invalid_argument);
+}
+
+// The embedding gather and the loss index their tables unchecked, so ids and
+// targets outside [0, vocab) must be rejected before any layer streams — and
+// the rejected call must leave the engine training exactly as before.
+TEST(Engine, TrainStepRejectsOutOfVocabIdsAndTargets) {
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 2);
+  const auto [ref_params, ref_losses] = run_monolithic(mcfg, batches);
+
+  nn::GptModel model(mcfg);
+  EngineConfig ecfg;
+  ecfg.window = 2;
+  StrongholdEngine engine(model, ecfg);
+  engine.init_params(42);
+  const auto vocab = static_cast<std::int32_t>(mcfg.vocab);
+  for (const std::int32_t bad : {-1, vocab, std::int32_t{1} << 22}) {
+    data::Batch ids_bad = batches[0];
+    ids_bad.ids[3] = bad;
+    EXPECT_THROW(engine.train_step(ids_bad), std::invalid_argument) << bad;
+    data::Batch targets_bad = batches[0];
+    targets_bad.targets.back() = bad;
+    EXPECT_THROW(engine.train_step(targets_bad), std::invalid_argument)
+        << bad;
+  }
+  data::Batch short_targets = batches[0];
+  short_targets.targets.pop_back();
+  EXPECT_THROW(engine.train_step(short_targets), std::invalid_argument);
+  EXPECT_EQ(engine.stats().iterations, 0u);
+  EXPECT_EQ(engine.stats().h2d_transfers, 0u);
+
+  const auto losses = sh::testing::train_streaming(engine, batches);
+  std::vector<float> params;
+  engine.snapshot_params(params);
+  EXPECT_EQ(losses, ref_losses);
+  sh::testing::expect_allclose(params, ref_params, 0.0f, 0.0f);
+}
+
+TEST(Engine, InferenceRejectsOutOfVocabIds) {
+  const auto mcfg = tiny_config();
+  nn::GptModel model(mcfg);
+  EngineConfig ecfg;
+  ecfg.window = 2;
+  StrongholdEngine engine(model, ecfg);
+  engine.init_params(9);
+  std::vector<std::int32_t> ids(static_cast<std::size_t>(mcfg.max_seq), 1);
+  for (const std::int32_t bad :
+       {-1, static_cast<std::int32_t>(mcfg.vocab), std::int32_t{1} << 22}) {
+    ids[2] = bad;
+    EXPECT_THROW(engine.inference(ids, {1, mcfg.max_seq}),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(engine.stats().h2d_transfers, 0u);
 }
 
 }  // namespace

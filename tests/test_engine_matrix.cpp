@@ -8,6 +8,7 @@
 #include "core/engine.hpp"
 #include "core/monolithic.hpp"
 #include "data/synthetic.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::core {
@@ -38,7 +39,9 @@ TEST_P(EngineMatrix, MatchesMonolithicOracle) {
   mcfg.max_seq = 8;
   mcfg.hidden = 16;
   mcfg.heads = 2;
-  mcfg.layers = 4;
+  // Eight blocks: even the largest window leaves blocks streaming past the
+  // reserved slots.
+  mcfg.layers = 8;
   mcfg.checkpoint_activations = c.checkpoint;
   mcfg.moe_experts = c.moe_experts;
   mcfg.moe_every = 2;
@@ -68,8 +71,7 @@ TEST_P(EngineMatrix, MatchesMonolithicOracle) {
   }
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
 

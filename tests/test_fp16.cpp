@@ -8,6 +8,7 @@
 #include "data/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/dtype.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::core {
@@ -45,13 +46,15 @@ TEST(LossScaler, RespectsBounds) {
   EXPECT_FLOAT_EQ(s.scale(), 4.0f);  // clamped at max
 }
 
+// Eight blocks: a window of 2 reserves 4 slots, so half the model streams
+// every step.
 nn::GptConfig tiny_config() {
   nn::GptConfig cfg;
   cfg.vocab = 32;
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;
   return cfg;
 }
 
@@ -62,7 +65,7 @@ TEST(Fp16Engine, MatchesFp16MonolithicBitwise) {
   for (int i = 0; i < 3; ++i) batches.push_back(corpus.next_batch(2, mcfg.max_seq));
 
   TrainOptions opts;
-  opts.fp16 = true;
+  opts.window_dtype = tensor::DType::f16;
   opts.loss_scaler.initial_scale = 128.0f;
   nn::GptModel ref_model(mcfg);
   MonolithicTrainer ref(ref_model, optim::AdamConfig{}, opts);
@@ -79,8 +82,7 @@ TEST(Fp16Engine, MatchesFp16MonolithicBitwise) {
   ecfg.loss_scaler.initial_scale = 128.0f;
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
 
@@ -95,7 +97,7 @@ TEST(Fp16Engine, Fp16WithClippingMatchesOracle) {
   for (int i = 0; i < 3; ++i) batches.push_back(corpus.next_batch(2, mcfg.max_seq));
 
   TrainOptions opts;
-  opts.fp16 = true;
+  opts.window_dtype = tensor::DType::f16;
   opts.clip_grad_norm = 0.05f;
   opts.loss_scaler.initial_scale = 64.0f;
   nn::GptModel ref_model(mcfg);
@@ -114,8 +116,7 @@ TEST(Fp16Engine, Fp16WithClippingMatchesOracle) {
   ecfg.loss_scaler.initial_scale = 64.0f;
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
   EXPECT_EQ(losses, ref_losses);

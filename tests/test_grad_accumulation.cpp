@@ -5,18 +5,21 @@
 #include "core/engine.hpp"
 #include "core/monolithic.hpp"
 #include "data/synthetic.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::core {
 namespace {
 
+// Eight blocks: a window of 2 reserves 4 slots, so every update path
+// (evicted, resident, pinned) runs every step.
 nn::GptConfig tiny_config() {
   nn::GptConfig cfg;
   cfg.vocab = 32;
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;
   return cfg;
 }
 
@@ -61,11 +64,13 @@ TEST(GradAccumulation, TwoMicroStepsEqualOneBigStep) {
   ecfg.grad_accumulation = 2;
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
+  std::vector<data::Batch> micros;
   for (const auto& big : big_batches) {
-    for (const auto& micro : split_batch(big, mcfg.max_seq, 2)) {
-      engine.train_step(micro);
+    for (auto& micro : split_batch(big, mcfg.max_seq, 2)) {
+      micros.push_back(std::move(micro));
     }
   }
+  (void)sh::testing::train_streaming(engine, micros);
   std::vector<float> params;
   engine.snapshot_params(params);
   // Micro-splitting reorders float sums inside the loss/grad means.
@@ -85,7 +90,7 @@ TEST(GradAccumulation, AccumulationOfOneIsBitwiseBaseline) {
     ecfg.grad_accumulation = accum;
     StrongholdEngine engine(model, ecfg);
     engine.init_params(42);
-    for (const auto& b : batches) engine.train_step(b);
+    (void)sh::testing::train_streaming(engine, batches);
     std::vector<float> p;
     engine.snapshot_params(p);
     return p;
@@ -144,11 +149,13 @@ TEST(GradAccumulation, WorksWithClippingAndSchedule) {
   ecfg.lr_schedule = schedule;
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
+  std::vector<data::Batch> micros;
   for (const auto& b : big) {
-    for (const auto& micro : split_batch(b, mcfg.max_seq, 2)) {
-      engine.train_step(micro);
+    for (auto& micro : split_batch(b, mcfg.max_seq, 2)) {
+      micros.push_back(std::move(micro));
     }
   }
+  (void)sh::testing::train_streaming(engine, micros);
   std::vector<float> params;
   engine.snapshot_params(params);
   sh::testing::expect_allclose(params, ref_params, 1e-5f, 1e-4f);
@@ -174,9 +181,8 @@ TEST(GradAccumulation, WorksWithSwapTier) {
   ecfg.swap_path = ::testing::TempDir() + "accum_swap.bin";
   StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  for (const auto& micro : split_batch(big, mcfg.max_seq, 2)) {
-    engine.train_step(micro);
-  }
+  (void)sh::testing::train_streaming(engine,
+                                     split_batch(big, mcfg.max_seq, 2));
   std::vector<float> params;
   engine.snapshot_params(params);
   sh::testing::expect_allclose(params, ref_params, 1e-5f, 1e-4f);

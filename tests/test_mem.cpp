@@ -15,6 +15,7 @@
 #include "mem/pool_policies.hpp"
 #include "serve/scheduler.hpp"
 #include "tensor/tensor.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::mem {
@@ -207,8 +208,7 @@ TEST(MemPressure, ReducedBudgetEngineDefersPrefetchWithoutDeadlock) {
   core::StrongholdEngine engine(model, ecfg);
   engine.init_params(9);
 
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   EXPECT_EQ(losses, ref_losses);  // degraded, not different
 
   const auto stats = engine.stats();

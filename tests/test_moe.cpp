@@ -8,6 +8,7 @@
 #include "core/monolithic.hpp"
 #include "data/synthetic.hpp"
 #include "nn/moe.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::nn {
@@ -150,7 +151,7 @@ TEST(MoeModel, OffloadedTrainingMatchesMonolithic) {
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;  // a window of 2 reserves 4 slots: half the model streams
   cfg.moe_experts = 3;
   cfg.moe_every = 2;
 
@@ -171,8 +172,7 @@ TEST(MoeModel, OffloadedTrainingMatchesMonolithic) {
   ecfg.window = 2;
   core::StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
 

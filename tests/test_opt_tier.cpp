@@ -17,18 +17,21 @@
 #include "obs/metrics.hpp"
 #include "sim/hardware.hpp"
 #include "storage/fault_plan.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh::core {
 namespace {
 
+// Eight blocks: a window of 2 reserves 4 slots, so half the model streams
+// (and takes the asynchronous tiered update) every step.
 nn::GptConfig tiny_config(bool checkpoint = false) {
   nn::GptConfig cfg;
   cfg.vocab = 32;
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;
   cfg.checkpoint_activations = checkpoint;
   return cfg;
 }
@@ -55,8 +58,7 @@ std::pair<std::vector<float>, std::vector<float>> run_engine(
   nn::GptModel model(mcfg);
   StrongholdEngine engine(model, std::move(ecfg));
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
   if (stats != nullptr) *stats = engine.stats();
@@ -232,7 +234,7 @@ TEST(OptTier, CheckpointRoundTripsAcrossTiers) {
   nn::GptModel model_a(mcfg);
   StrongholdEngine tiered(model_a, nvme_tier_config("ckpt_src"));
   tiered.init_params(42);
-  for (const auto& b : warm) tiered.train_step(b);
+  (void)sh::testing::train_streaming(tiered, warm);
   const ckpt::Snapshot snap = tiered.capture_snapshot();
 
   // Restore into a CPU-tier engine and into a fresh NVMe-tier engine.

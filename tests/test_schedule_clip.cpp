@@ -8,6 +8,7 @@
 #include "core/monolithic.hpp"
 #include "data/synthetic.hpp"
 #include "optim/schedule.hpp"
+#include "testing/streaming.hpp"
 #include "testing/util.hpp"
 
 namespace sh {
@@ -45,13 +46,15 @@ TEST(LrSchedule, LinearDecay) {
   EXPECT_FLOAT_EQ(s(110), 0.0f);
 }
 
+// Eight blocks: a window of 2 reserves 4 slots, so half the model streams
+// every step.
 nn::GptConfig tiny_config() {
   nn::GptConfig cfg;
   cfg.vocab = 32;
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;
   return cfg;
 }
 
@@ -87,8 +90,7 @@ TEST_P(EngineOptimFeatures, OffloadedMatchesMonolithicBitwise) {
   ecfg.lr_schedule = schedule;
   core::StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
-  std::vector<float> losses;
-  for (const auto& b : batches) losses.push_back(engine.train_step(b));
+  const auto losses = sh::testing::train_streaming(engine, batches);
   std::vector<float> params;
   engine.snapshot_params(params);
 
@@ -156,9 +158,10 @@ TEST(GradClipping, WorksWithSwapTierAndExecutors) {
   ecfg.swap_path = ::testing::TempDir() + "clip_swap.bin";
   core::StrongholdEngine engine(model, ecfg);
   engine.init_params(42);
+  const auto losses = sh::testing::train_streaming(engine, batches);
   for (std::size_t i = 0; i < batches.size(); ++i) {
     // Executors reorder additions; losses agree to rounding.
-    EXPECT_NEAR(engine.train_step(batches[i]), ref_losses[i], 1e-5f);
+    EXPECT_NEAR(losses[i], ref_losses[i], 1e-5f);
   }
 }
 

@@ -69,6 +69,10 @@ TEST(Serve, ContinuousBatchingMatchesSoloGenerationAcrossPreemption) {
       << "budget did not force a preemption; the test lost its teeth";
   EXPECT_GE(sched.arena_stats().resumes, 1u);
   EXPECT_EQ(sched.stats().finished, ids.size());
+  // Streaming witness: every serving pass streams the blocks through the
+  // window, so the run fetched far more layers than one model's worth.
+  EXPECT_GT(engine.stats().h2d_transfers,
+            static_cast<std::size_t>(mcfg.layers));
 
   const auto reqs = eight_requests();
   for (std::size_t i = 0; i < ids.size(); ++i) {

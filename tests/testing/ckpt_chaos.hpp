@@ -15,13 +15,15 @@
 
 namespace sh::testing::ckpt_chaos {
 
+// Eight blocks: the window of 2 reserves 4 slots, so half the model streams
+// every step and a resume must restore state the window does not hold.
 inline nn::GptConfig tiny_config() {
   nn::GptConfig cfg;
   cfg.vocab = 32;
   cfg.max_seq = 8;
   cfg.hidden = 16;
   cfg.heads = 2;
-  cfg.layers = 4;
+  cfg.layers = 8;
   return cfg;
 }
 
