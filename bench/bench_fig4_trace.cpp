@@ -150,8 +150,6 @@ int main() {
 
   metrics.add("fig4.real.h2d_bytes_per_step", f32_h2d_per_step, "bytes");
   metrics.add("fig4.real.h2d_fetches_per_step", fetches_per_step, "layers");
-  metrics.add("fig4.real.resident_layers", static_cast<double>(resident),
-              "layers");
   metrics.add("fig4.bf16.h2d_bytes_per_step", bf16_h2d_per_step, "bytes");
   metrics.add("fig4.bf16.h2d_bytes_ratio", h2d_ratio, "");
   metrics.add("fig4.real.gpu_utilization", util, "");

@@ -164,6 +164,7 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
     pool_ = std::make_unique<BudgetSlotAllocator>(gpu_pool_,
                                                   window_budget_bytes_);
   }
+  resident_ = std::min(blocks, std::max(window_, layers_held()));
 
   profiles_.assign(blocks, LayerProfile{});
   for (auto& p : profiles_) {
@@ -259,9 +260,13 @@ void StrongholdEngine::init_params(std::uint64_t seed) {
   }
 }
 
-std::size_t StrongholdEngine::resident_layers() const {
-  return std::min(num_blocks(),
-                  std::max(window_, pool_->capacity_in(slot_bytes_)));
+std::size_t StrongholdEngine::layers_held() const {
+  if (cfg_.window_mode != WindowMode::ByteBudget) return slots_reserved_;
+  // The fixed buffer holds as many max-size layers as fit at the pool's
+  // region alignment.
+  const std::size_t aligned = (slot_bytes_ + mem::kRegionAlign - 1) /
+                              mem::kRegionAlign * mem::kRegionAlign;
+  return window_budget_bytes_ / aligned;
 }
 
 void StrongholdEngine::normalize_residency(std::size_t resident) {
@@ -367,6 +372,18 @@ void StrongholdEngine::wait_ready(LayerState& st) {
     issue_fetch(st, slot);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.demand_fetches;
+    stats_.stall_seconds += now_seconds() - t0;
+  }
+  // A layer updated in place is still resident; its optimizer job rewrites
+  // the slot, so nothing may read (or release) the slot before it lands.
+  // Fetched layers already waited for their update inside the fetch.
+  if (st.update_done.valid() &&
+      st.update_done.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready) {
+    const double t0 = now_seconds();
+    st.update_done.wait();
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.prefetch_stalls;
     stats_.stall_seconds += now_seconds() - t0;
   }
   if (!st.ready.valid()) return;
@@ -558,21 +575,26 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
     stats_.d2h_bytes += wire;
   });
   if (!accum_final_) return;  // mid-cycle: accumulate only, no update
-  // Concurrent CPU-side update (Section III-E1), then NVMe write-back. With
-  // clipping or loss scaling, the update waits behind the per-step gate
-  // (clip_ready_ resolves once every gradient has drained and the norm /
-  // overflow verdict exists).
-  auto post = [this, &st] { store_.write_back(st.index); };
+  // Concurrent CPU-side update (Section III-E1), then NVMe write-back.
+  submit_update(st, copied, [this, &st] { store_.write_back(st.index); });
+}
+
+void StrongholdEngine::submit_update(LayerState& st,
+                                     std::shared_future<void> after,
+                                     std::function<void()> post) {
   if (update_gate_active()) {
-    // Capture THIS iteration's gate object: a late-running update must not
-    // observe the next iteration's reset scale/skip.
+    // With clipping or loss scaling the update waits behind the per-step
+    // gate instead (clip_ready_ resolves once every gradient has drained and
+    // the norm / overflow verdict exists). Capture THIS iteration's gate
+    // object: a late-running update must not observe the next iteration's
+    // reset scale/skip.
     auto gate = gate_state_;
     opts_.submit(
-        st, clip_ready_, post, current_lr_,
+        st, clip_ready_, std::move(post), current_lr_,
         [gate] { return gate->scale.load(); },
         [gate] { return gate->skip.load(); });
   } else {
-    opts_.submit(st, copied, post, current_lr_);
+    opts_.submit(st, std::move(after), std::move(post), current_lr_);
   }
 }
 
@@ -581,10 +603,11 @@ void StrongholdEngine::check_overflow(const tensor::StorageView& grads) {
 }
 
 void StrongholdEngine::update_resident_layer(LayerState& st) {
-  // The layer stays in the working window across the iteration boundary; the
-  // paper updates these on the GPU (t_opt_gpu). Gradients accumulate in the
-  // CPU master; on the final micro-step the GPU-resident parameter copy is
-  // updated in place and the master synced asynchronously.
+  // The layer stays in the working window across the iteration boundary
+  // (III-E1). Gradients accumulate in the CPU master; on the final
+  // micro-step an optimizer actor updates the master and refreshes the
+  // resident copy from it, concurrently with the rest of BP. The next pass
+  // reads the slot only after wait_ready has waited for that job.
   const auto params = static_cast<std::size_t>(st.params);
   const float* g;
   if (encoded_window()) {
@@ -602,38 +625,15 @@ void StrongholdEngine::update_resident_layer(LayerState& st) {
     tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
   }
   if (!accum_final_) return;
-  auto body = [this, &st, params] {
-    if (encoded_window()) {
-      // The FP32 master is authoritative; the GPU copy is re-encoded on
-      // write-back, exactly like a fresh fault-in.
-      opts_.update_now(st, st.cpu_params.data(), st.cpu_grads.data(),
-                       current_lr_);
-      encode_slot(st, st.cpu_params.data(), 0, params);
-      st.update_done =
-          d2h_.run_async([this, &st] { store_.write_back(st.index); });
-    } else {
-      float* slot = slot_f32(st);
-      opts_.update_now(st, slot, st.cpu_grads.data(), current_lr_);
-      st.update_done = d2h_.run_async([this, &st, slot, params] {
-        std::memcpy(st.cpu_params.data(), slot, params * sizeof(float));
-        store_.write_back(st.index);
-      });
-    }
-  };
-  if (update_gate_active()) {
-    if (clipping()) {
-      grad_sumsq_[st.index] =
-          tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
-    }
-    deferred_updates_.push_back([this, &st, body, gate = gate_state_] {
-      if (gate->skip.load()) return;
-      const float s = gate->scale.load();
-      if (s != 1.0f) tensor::scale(s, st.cpu_grads.data(), st.params);
-      body();
-    });
-  } else {
-    body();
+  if (clipping()) {
+    grad_sumsq_[st.index] =
+        tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
   }
+  // The device copy takes the wire rounding a fresh fetch would carry.
+  submit_update(st, {}, [this, &st] {
+    refresh_device_copy(st);
+    store_.write_back(st.index);
+  });
 }
 
 void StrongholdEngine::apply_pinned_update(LayerState& st, float* buffer) {
@@ -809,7 +809,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
   // Turnaround residency: FP keeps its last R blocks for BP, and BP updates
   // blocks 1..R in place (III-E1) so the next FP starts with them resident.
   // R fills every reserved slot, so each step moves 2*(N-R) layers.
-  const std::size_t resident = resident_layers();
+  const std::size_t resident = resident_;
 
   begin_iteration_lr_and_clip();
   // Make sure blocks 1..R are resident (first iteration, or after a
@@ -1023,7 +1023,6 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.iterations;
-    stats_.optimizer_updates = opts_.updates_completed();
   }
   if (profiling) ++profile_samples_;
   maybe_update_window();
@@ -1085,6 +1084,7 @@ void StrongholdEngine::maybe_update_window() {
     slots_reserved_ = slots;
   }
   window_ = new_window;
+  resident_ = std::min(num_blocks(), std::max(window_, layers_held()));
   window_frozen_ = true;
 }
 
@@ -1503,11 +1503,10 @@ void StrongholdEngine::last_gasp_checkpoint(bool consistent) {
 }
 
 EngineStats StrongholdEngine::stats() const {
-  const std::size_t resident = resident_layers();  // takes the pool's lock
   std::lock_guard<std::mutex> lock(stats_mu_);
   EngineStats s = stats_;
   s.window = window_;
-  s.resident_layers = resident;
+  s.resident_layers = resident_;
   s.gpu_high_water_bytes = gpu_pool_.peak_bytes();
   s.arena = gpu_pool_.stats();
   if (swap_) {
@@ -1517,6 +1516,9 @@ EngineStats StrongholdEngine::stats() const {
     s.swap_retry_backoff_s = swap_->retry_backoff_seconds();
   }
   s.opt_tiered_layers = store_.opt_tiered_count();
+  // Live: the step's last in-place updates may still be running when it
+  // returns.
+  s.optimizer_updates = opts_.updates_completed();
   s.moment_prefetches = opts_.moment_prefetches();
   s.moment_demand_reads = opts_.moment_demand_reads();
   s.moment_update_skips = opts_.moment_update_skips();

@@ -10,7 +10,8 @@
 //    computing, gradients are copied to the CPU asynchronously and a
 //    concurrent optimizer actor updates the layer's master parameters. The
 //    last R layers of BP (the first R of the model) remain on the GPU and are
-//    updated in place, so the next FP starts without a stall (III-E1).
+//    updated in place by an optimizer actor while BP continues, so the next
+//    FP starts without fetching them (III-E1).
 //  * R >= m is the number of slots the allocator reserves (m plus one or two
 //    stage slots): at each turnaround those slots hold layers instead of
 //    sitting empty, so a step moves 2*(N-R) layers rather than 2*(N-m).
@@ -352,9 +353,9 @@ class StrongholdEngine {
   /// Pulls the in-place-updated pinned embedding/head back into their
   /// masters (a no-op for f16 windows, whose masters are authoritative).
   void sync_pinned_masters();
-  /// R: blocks kept resident across the FP->BP and BP->FP turnarounds —
-  /// every max-size slot the allocator holds, never fewer than the window.
-  std::size_t resident_layers() const;
+  /// Max-size layers the slot allocator holds at once: the uniform slot
+  /// count, or what fits in the fixed byte budget. Sets R (`resident_`).
+  std::size_t layers_held() const;
   /// Evicts resident blocks past `resident` and prefetches blocks
   /// 1..resident — the canonical pass-start state (R for training, the
   /// window for streaming passes). Handles residual residency from the other
@@ -407,6 +408,11 @@ class StrongholdEngine {
   void evict_after_forward(LayerState& st);
   void evict_after_backward(LayerState& st);
   void update_resident_layer(LayerState& st);
+  /// Queues `st`'s optimizer step on the pool: after `after`, or behind the
+  /// per-step clip/overflow gate when one is active. `post` runs in the
+  /// task once the master is updated (a skipped step runs neither).
+  void submit_update(LayerState& st, std::shared_future<void> after,
+                     std::function<void()> post);
   /// Update path for the pinned embedding/head (direct, or deferred when
   /// gradient clipping awaits the global norm).
   void apply_pinned_update(LayerState& st, float* buffer);
@@ -457,6 +463,9 @@ class StrongholdEngine {
   std::size_t elem_bytes_ = 4;      // bytes per window element (dtype)
   std::size_t max_block_params_ = 0;
   std::size_t slots_reserved_ = 0;  // window + stage slots currently held
+  /// R: blocks kept resident across the FP->BP and BP->FP turnarounds —
+  /// every max-size slot the allocator holds, never fewer than the window.
+  std::size_t resident_ = 0;
   /// ByteBudget mode: bytes of the fixed window buffer (0 otherwise). The
   /// warm-up window and the auto-window's memory bound are sized from it.
   std::size_t window_budget_bytes_ = 0;

@@ -47,10 +47,6 @@ class SlotAllocator {
   /// m+1-slot invariant guarantees progress). Byte-budget mode defers
   /// instead ("delays the layer movement", Section III-B).
   virtual bool blocking_prefetch_safe() const = 0;
-
-  /// How many layers of `slot_bytes` bytes the allocator holds at once: the
-  /// engine keeps that many layers resident across each FP/BP turnaround.
-  virtual std::size_t capacity_in(std::size_t slot_bytes) const = 0;
 };
 
 class UniformSlotAllocator final : public SlotAllocator {
@@ -76,9 +72,6 @@ class UniformSlotAllocator final : public SlotAllocator {
     pool_.grow(slot_bytes, slots);
   }
   bool blocking_prefetch_safe() const override { return true; }
-  std::size_t capacity_in(std::size_t) const override {
-    return pool_.num_slots();
-  }
 
   BufferPool& pool() noexcept { return pool_; }
 
@@ -102,12 +95,6 @@ class BudgetSlotAllocator final : public SlotAllocator {
     // The buffer is fixed-size by design; the layer count adapts instead.
   }
   bool blocking_prefetch_safe() const override { return false; }
-  std::size_t capacity_in(std::size_t slot_bytes) const override {
-    // Regions are carved at kRegionAlign granularity.
-    const std::size_t aligned = (slot_bytes + mem::kRegionAlign - 1) /
-                                mem::kRegionAlign * mem::kRegionAlign;
-    return pool_.budget_bytes() / aligned;
-  }
 
   ByteBudgetPool& pool() noexcept { return pool_; }
 

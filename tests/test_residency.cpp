@@ -6,6 +6,7 @@
 // of the result.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -139,6 +140,50 @@ TEST(Residency, ByteBudgetKeepsWhatTheBufferHolds) {
   for (std::size_t s = 1; s < traffic.size(); ++s) {
     EXPECT_EQ(traffic[s].h2d, 2u * (8 - 5)) << "step " << s;
     EXPECT_EQ(traffic[s].d2h, 8u - 5) << "step " << s;
+  }
+}
+
+TEST(Residency, ServingBetweenTrainingStepsChangesNoBit) {
+  // After a step, blocks 1..R hold in-place updates whose optimizer jobs may
+  // still be running. A serving pass starts from blocks 1..window and so
+  // evicts blocks window+1..R: it must wait for those updates first, and
+  // the training that follows must not see a stale or torn block.
+  for (const tensor::DType dtype : {tensor::DType::f32, tensor::DType::bf16}) {
+    SCOPED_TRACE(tensor::dtype_name(dtype));
+    const auto batches = make_batches(4, 4);
+    const std::vector<data::Batch> before(batches.begin(), batches.begin() + 2);
+    const std::vector<data::Batch> after(batches.begin() + 2, batches.end());
+
+    nn::GptModel model(model_config(8));
+    EngineConfig ecfg;
+    ecfg.window = 2;
+    ecfg.window_dtype = dtype;
+    StrongholdEngine engine(model, ecfg);
+    engine.init_params(42);
+    ASSERT_EQ(engine.stats().resident_layers, 4u);
+    std::vector<float> losses = sh::testing::train_streaming(engine, before);
+    const std::size_t h2d_before_serving = engine.stats().h2d_transfers;
+    const std::span<const std::int32_t> prompt(batches[2].ids.data(), 8);
+    (void)engine.inference(prompt, nn::BatchShape{1, 8, false});
+    (void)engine.generate_incremental(prompt.first(4), 3);
+    EXPECT_GT(engine.stats().h2d_transfers, h2d_before_serving);
+    for (float l : sh::testing::train_streaming(engine, after)) {
+      losses.push_back(l);
+    }
+    std::vector<float> params;
+    engine.snapshot_params(params);
+
+    nn::GptModel ref_model(model_config(8));
+    TrainOptions opts;
+    opts.window_dtype = dtype;
+    MonolithicTrainer ref(ref_model, optim::AdamConfig{}, opts);
+    ref.init_params(42);
+    std::vector<float> ref_losses;
+    for (const auto& b : batches) ref_losses.push_back(ref.train_step(b));
+    std::vector<float> ref_params;
+    ref.snapshot_params(ref_params);
+    EXPECT_EQ(losses, ref_losses);
+    sh::testing::expect_allclose(params, ref_params, 0.0f, 0.0f);
   }
 }
 
